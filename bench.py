@@ -8,9 +8,10 @@ num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line::
      "queries": {name: sec, ...}, "sf": ..., "num_cpus": N, ...}
 
 ``--scaling`` runs the flagship sketch-build twice in FRESH processes
-(num_cpus=8 then num_cpus=32) on the same input and reports both
-throughputs plus scaling efficiency (the sandbox stand-in for the
-north rule's N vs 4N cluster-size criterion; see BASELINE.md).
+(num_cpus=2 then num_cpus=8; ``$GRAFT_SCALING_LOW``/``_HIGH`` override)
+on the same input and reports both throughputs plus scaling efficiency
+(the sandbox stand-in for the north rule's N vs 4N cluster-size
+criterion; see BASELINE.md).
 
 This script OWNS its Ray session (unlike __ray_entry__.py).
 """

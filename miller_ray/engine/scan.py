@@ -1,0 +1,89 @@
+"""Ordered scan: the execution shape of Miller's stream-order verbs.
+
+``step``, ``fill-down``, ``stats1 -w``, ``step slwin``, ``decimate -b/-e``
+and sort-path ``rank`` carry per-group state across records in stream
+order (SURVEY.md §2.3). Distributed, the stream is one global sort by
+(group..., order); each sorted block then needs only a small CARRY
+describing the blocks around it, so a hot group spanning many blocks
+still runs in parallel and no per-group reducer exists. Per-task memory
+is one block plus its carry; the driver only chains O(blocks) small
+summaries.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable
+
+import numpy as np
+import pandas as pd
+
+
+def group_index(df: pd.DataFrame, keys: list[str]) -> dict[tuple, np.ndarray]:
+    """Row positions of each group of ``df``, keyed by the group's key
+    tuple; one group keyed ``()`` when ``keys`` is empty. Rows with a
+    null key belong to no group (pandas ``groupby`` default)."""
+    if not keys:
+        return {(): np.arange(len(df))}
+    return {k if isinstance(k, tuple) else (k,): idx
+            for k, idx in df.groupby(keys, sort=False).indices.items()}
+
+
+def running_carries(summaries: list[dict], fold: Callable) -> list[dict]:
+    """Forward carries for per-group block summaries ``{key: summary}``:
+    block i's carry maps each key it holds to the ``fold`` of that key's
+    summaries in the blocks before i; a key first seen in block i is
+    absent. ``fold(state, summary)`` returns the new state, which has
+    the shape of a summary (the first summary is the initial state)."""
+    state: dict = {}
+    out = []
+    for sm in summaries:
+        out.append({k: state[k] for k in sm if k in state})
+        for k, v in sm.items():
+            state[k] = fold(state[k], v) if k in state else v
+    return out
+
+
+def ordered_scan(ds, sort_keys: list[str] | None,
+                 summarize: Callable[[pd.DataFrame], Any],
+                 carries: Callable[[list], list],
+                 apply: Callable[[pd.DataFrame, Any], pd.DataFrame]):
+    """Run a per-block computation whose blocks depend on each other
+    only through small carries, in the order of ``sort_keys``:
+
+    1. sort ``ds`` by ``sort_keys`` (``None``: keep its block order);
+    2. ``summarize(df)`` in one task per block -> a small summary;
+    3. ``carries(summaries)`` on the driver -> one carry per block, in
+       block order (e.g. the running state of every earlier block);
+    4. ``apply(df, carry)`` in one task per block -> the output frame.
+
+    Blocks without rows are dropped before step 2, so ``summarize`` and
+    ``apply`` always get a non-empty frame and ``carries`` one summary
+    per such block. Returns a Dataset of the ``apply`` frames in block
+    order."""
+    import ray
+    import ray.data as rd
+
+    if sort_keys is not None:
+        ds = ds.sort(sort_keys)
+    # raw blocks, not to_arrow_refs(): that converts pandas blocks
+    # through Arrow, which retypes an all-NaN float column to null
+    # (object dtype once back in pandas)
+    refs = [ref for bundle in ds.materialize().iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+
+    def frame(block) -> pd.DataFrame:
+        return block if isinstance(block, pd.DataFrame) else block.to_pandas()
+
+    @ray.remote
+    def _summarize(block) -> list:
+        return [summarize(frame(block))] if len(block) else []
+
+    @ray.remote
+    def _apply(block, carry):
+        return apply(frame(block), carry)
+
+    summaries = ray.get([_summarize.remote(b) for b in refs])
+    live = [(b, s[0]) for b, s in zip(refs, summaries) if s]
+    cs = carries([s for _, s in live])
+    return rd.from_pandas_refs(
+        [_apply.remote(b, c) for (b, _), c in zip(live, cs, strict=True)])

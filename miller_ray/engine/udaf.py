@@ -214,7 +214,8 @@ def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
                 out_cols[spec.name].append(sk.to_bytes())
         # deterministic salt from the first blob's content
         first = specs[0].name
-        salts = [int(hash64(np.array([b[:64]], dtype=object))[0] % n_salts)
+        salts = [int(hash64(np.array([b[:64]], dtype=object))[0]
+                     % np.uint64(n_salts))
                  for b in out_cols[first]]
         out_cols["__salt"] = salts
         return pa.table(out_cols)

@@ -51,7 +51,7 @@ def read_tokens(sf_dir: str, n_rows: int | None = None):
     # more KB..MB partial blobs than shards and the merge tree becomes
     # the scaling bottleneck (measured: 448 partials -> ~8 s of merge at
     # 2 CPUs on the 4M-row table; one partial per shard -> <1 s).
-    file_rows = max(3125, -(-n // 64))
+    file_rows = max(3125, -(-n // max(n_files, 1)))
     # mmap local filesystem: the uncompressed PLAIN token pages decode
     # straight off page-cache mappings instead of buffered read copies
     # (measured 1.4x single-thread scan throughput through the same

@@ -31,6 +31,13 @@ def _emb_matrix(t: pa.Table, col: str) -> np.ndarray:
     return flat.reshape(n, -1)
 
 
+def _no_hits(t: pa.Table, id_col: str) -> pa.Table:
+    """The local top-k table of a batch without rows."""
+    return pa.table({"query_id": pa.array([], type=pa.int64()),
+                     id_col: pa.array([], type=t[id_col].type),
+                     "sim": pa.array([], type=pa.float64())})
+
+
 def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
                      emb_col: str = "embedding", id_col: str = "vec_id",
                      concurrency=(1, 4)) -> pd.DataFrame:
@@ -50,6 +57,8 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
             self.q = ray.get(qref)  # (nq, d), once per actor
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return _no_hits(t, id_col)
             m = _emb_matrix(t, emb_col)
             m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
             sims = self.q @ m.T  # (nq, batch)
@@ -224,7 +233,8 @@ def _kmeanspp_init(sample: np.ndarray, k: int, seed: int) -> np.ndarray:
     All "randomness" is splitmix64 of the step index — reproducible
     across runs and processes, no RNG state."""
     n = sample.shape[0]
-    first = int(splitmix64(np.array([0], dtype=np.uint64), seed=seed)[0] % n)
+    first = int(splitmix64(np.array([0], dtype=np.uint64),
+                           seed=seed)[0] % np.uint64(n))
     cents = [sample[first]]
     d2 = 1.0 - sample @ cents[0]  # cosine distance to nearest centroid
     for step in range(1, k):
@@ -232,7 +242,7 @@ def _kmeanspp_init(sample: np.ndarray, k: int, seed: int) -> np.ndarray:
         tot = float(w.sum())
         if tot <= 0:  # all points coincide with a centroid
             idx = int(splitmix64(np.array([step], dtype=np.uint64),
-                                 seed=seed)[0] % n)
+                                 seed=seed)[0] % np.uint64(n))
         else:
             r = (int(splitmix64(np.array([step], dtype=np.uint64),
                                 seed=seed)[0]) / 2**64) * tot
@@ -352,6 +362,8 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, n_lists: int = 16,
             self.q, self.c, self.probe = ray.get(bref)
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return _no_hits(t, id_col)
             m = _normalize(_emb_matrix(t, emb_col))
             assign = np.argmax(m @ self.c.T, axis=1)
             sims = self.q @ m.T  # (nq, batch)

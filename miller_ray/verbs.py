@@ -3,8 +3,10 @@
 Each function re-expresses one reference verb (file cited per function,
 all under /root/reference/pkg/transformers/) Ray-Data-first: stateless
 per-record verbs are vectorized ``map_batches``; accumulating verbs are
-partial-aggregate + small shuffle (engine.groupby); buffer-all verbs
-(sort, tac) map to Dataset-wide operators.
+partial-aggregate + small shuffle (engine.groupby); stream-order verbs
+(step, fill-down, stats1 -w, decimate -b/-e, sort-path rank) are an
+``engine.scan.ordered_scan``; buffer-all verbs (sort, tac) map to
+Dataset-wide operators.
 
 Divergences from Miller, by design (SURVEY.md §1.6):
 - output row order is undefined unless the verb sorts; callers compare
@@ -19,6 +21,7 @@ O(groups)); record-level verbs return Datasets and keep streaming.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Any
 
 import os
@@ -29,6 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from miller_ray.engine.groupby import grouped_percentiles, grouped_stats
+from miller_ray.engine.scan import group_index, ordered_scan, running_carries
 
 _MOMENT_ACCS = {"count", "null_count", "sum", "mean", "min", "max", "var",
                 "stddev", "meaneb", "skewness", "kurtosis", "minlen", "maxlen"}
@@ -822,73 +826,36 @@ def fill_down(ds, fields: list[str], group_by: list[str], order_by: str):
     value forward within a group, ordered by ``order_by`` (Miller uses
     stream order; distributed needs an explicit order column).
 
-    SCALE path (no per-group reducer): one global sort by
-    (group..., order), then one parallel task per sorted BLOCK seeded
-    with a tiny carry — the last non-null value per (group, field)
-    from all preceding blocks, chained on the driver over small
-    per-(block, group) summary rows (same shape as ``step`` /
-    ``stats1_windowed``). A hot group spanning many blocks still
-    parallelizes; blocks whose leading rows are null inherit the
-    carry instead of waiting on a single per-group reducer."""
-    import ray
-    import ray.data as rd
-
+    An ``ordered_scan``: a block's summary is the last non-null value
+    per (group, field); its carry is that value over all earlier
+    blocks."""
     gb = list(group_by or [])
-    sorted_ds = ds.sort(gb + [order_by]).materialize()
-    block_refs = [br for bundle in sorted_ds.iter_internal_ref_bundles()
-                  for br in bundle.block_refs]
 
-    @ray.remote
-    def _summary(block) -> list:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            return []
-        df = df.sort_values(order_by)
-        g = df.groupby(gb, sort=False) if gb else [((), df)]
-        rows = []
-        for key, sub in g:
-            if gb and not isinstance(key, tuple):
-                key = (key,)
+    def summarize(df: pd.DataFrame) -> dict:
+        df = df.sort_values(order_by).reset_index(drop=True)
+        out = {}
+        for key, idx in group_index(df, gb).items():
             last = {}
             for f in fields:
-                nn = sub[f].dropna()
-                last[f] = nn.iloc[-1] if len(nn) else None
-            rows.append((key, last))
-        return rows
+                nn = df[f].iloc[idx].dropna()
+                if len(nn):
+                    last[f] = nn.iloc[-1]
+            out[key] = last
+        return out
 
-    summaries = ray.get([_summary.remote(b) for b in block_refs])
-    state: dict[tuple, dict] = {}
-    carries: list[dict] = []
-    for sm in summaries:
-        carries.append({k: dict(v) for k, v in state.items()})
-        for key, last in sm:
-            cur = state.setdefault(key, {})
-            for f, v in last.items():
-                if v is not None:
-                    cur[f] = v
-
-    @ray.remote
-    def _apply(block, carry: dict) -> pd.DataFrame:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            return df
+    def apply(df: pd.DataFrame, carry: dict) -> pd.DataFrame:
         df = df.sort_values(order_by).reset_index(drop=True)
-        groups = df.groupby(gb, sort=False).indices if gb \
-            else {(): np.arange(len(df))}
-        for key, idx in groups.items():
-            if gb and not isinstance(key, tuple):
-                key = (key,)
-            cr = carry.get(key, {})
+        for key, idx in group_index(df, gb).items():
             sub = df.loc[idx, fields].ffill()
-            for f in fields:
-                if f in cr:
-                    sub[f] = sub[f].fillna(cr[f])
+            for f, v in carry.get(key, {}).items():
+                sub[f] = sub[f].fillna(v)
             df.loc[idx, fields] = sub
         return df
 
-    out_refs = [_apply.remote(b, carries[i])
-                for i, b in enumerate(block_refs)]
-    return rd.from_pandas_refs(out_refs)
+    return ordered_scan(
+        ds, gb + [order_by], summarize,
+        lambda sms: running_carries(sms, lambda st, last: {**st, **last}),
+        apply)
 
 
 _STEP_BASES = {"delta", "shift", "shift_lag", "shift_lead", "rsum",
@@ -928,23 +895,11 @@ def step(ds, fields: list[str], steppers: list[str], group_by: list[str],
     supported. With ``ewma_alphas=None`` the single ``ewma_alpha``
     emits the legacy ``f_ewma`` column.
 
-    SCALE path (no per-group reducer): one global sort by
-    (group..., order), then one parallel task per sorted BLOCK. Every
-    stepper is a prefix computation, so a block only needs a TINY
-    incoming carry per group it contains: the last K values
-    (delta/shift/ratio at lag K), running sum/prod/count
-    (rsum/rprod/counter), the group's first value (from-first), the
-    chained EWMA state per weight (linear in the carry:
-    e_end = A + (1-alpha)^n * e_in, so per-block A and decay fold on
-    the driver), and the next K values from FOLLOWING blocks
-    (shift_lead at lag K). The driver chains per-(block, group)
-    summary rows in block order — O(blocks x groups-per-block) scalar
-    work, the same accepted shape as stats1_windowed — and each block
-    then finishes independently. A hot group spanning many blocks
-    still parallelizes."""
-    import ray
-    import ray.data as rd
-
+    An ``ordered_scan``: a block's summary per group is its count, sum,
+    product, first value, first and last K values and EWMA end state
+    (linear in the incoming state: e_end = A + (1-alpha)^n * e_in); its
+    carry is those folded over all earlier blocks, plus the next K
+    values from later blocks (shift_lead at lag K)."""
     parsed = [(s,) + _parse_stepper(s) for s in steppers]
     need_lag = max([n for _, b, n in parsed
                     if b in ("delta", "shift", "shift_lag", "ratio")],
@@ -960,24 +915,15 @@ def step(ds, fields: list[str], steppers: list[str], group_by: list[str],
         alphas = [ewma_alpha]
         ecols = ["_ewma"]
     gb = list(group_by or [])
-    sorted_ds = ds.sort(gb + [order_by]).materialize()
-    block_refs = [br for bundle in sorted_ds.iter_internal_ref_bundles()
-                  for br in bundle.block_refs]
 
-    @ray.remote
-    def _summary(block) -> list:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            return []
-        df = df.sort_values(order_by)
-        g = df.groupby(gb, sort=False) if gb else [((), df)]
-        rows = []
-        for key, sub in g:
-            if gb and not isinstance(key, tuple):
-                key = (key,)
-            d = {"n": len(sub)}
+    def summarize(df: pd.DataFrame) -> dict:
+        df = df.sort_values(order_by).reset_index(drop=True)
+        cols = {f: df[f].to_numpy(dtype=np.float64) for f in fields}
+        out = {}
+        for key, idx in group_index(df, gb).items():
+            d = {"cnt": len(idx)}
             for f in fields:
-                x = sub[f].to_numpy(dtype=np.float64)
+                x = cols[f][idx]
                 d[f"{f}:sum"] = float(np.nansum(x))
                 d[f"{f}:prod"] = float(np.nanprod(x))
                 d[f"{f}:first"] = float(x[0])
@@ -987,90 +933,56 @@ def step(ds, fields: list[str], steppers: list[str], group_by: list[str],
                     d[f"{f}:firstK"] = x[:need_lead].tolist()
                 if want_ewma:
                     for k, a in enumerate(alphas):
-                        # e_end(e_in) = A + B*e_in with B = (1-a)^n;
-                        # A = recursive EWMA seeded by a zero carry,
-                        # NC = no-carry end (first element seeds).
+                        # A = recursive EWMA seeded by a zero carry;
+                        # ewma = end state with no carry (first seeds)
                         s0 = pd.Series(np.concatenate([[0.0], x]))
                         d[f"{f}:ewmA:{k}"] = float(
                             s0.ewm(alpha=a, adjust=False).mean().iloc[-1])
-                        d[f"{f}:ewmNC:{k}"] = float(pd.Series(x).ewm(
+                        d[f"{f}:ewma:{k}"] = float(pd.Series(x).ewm(
                             alpha=a, adjust=False).mean().iloc[-1])
-            rows.append((key, d))
-        return rows
+            out[key] = d
+        return out
 
-    summaries = ray.get([_summary.remote(b) for b in block_refs])
+    def fold(st: dict, d: dict) -> dict:
+        new = {"cnt": st["cnt"] + d["cnt"]}
+        for f in fields:
+            new[f"{f}:sum"] = st[f"{f}:sum"] + d[f"{f}:sum"]
+            new[f"{f}:prod"] = st[f"{f}:prod"] * d[f"{f}:prod"]
+            new[f"{f}:first"] = st[f"{f}:first"]
+            if need_lag:
+                new[f"{f}:lastK"] = (st[f"{f}:lastK"]
+                                     + d[f"{f}:lastK"])[-need_lag:]
+            for k, a in enumerate(alphas if want_ewma else []):
+                new[f"{f}:ewma:{k}"] = (d[f"{f}:ewmA:{k}"]
+                                        + (1.0 - a) ** d["cnt"]
+                                        * st[f"{f}:ewma:{k}"])
+        return new
 
-    # driver chain: fold per-group running state block-by-block and
-    # emit each block's INCOMING carry (one small dict per group)
-    state: dict[tuple, dict] = {}
-    carries: list[dict] = []
-    for sm in summaries:
-        cin = {}
-        for key, d in sm:
-            st = state.get(key)
-            cin[key] = dict(st) if st else {}
-            new = dict(st) if st else {"cnt": 0}
-            new["cnt"] = new.get("cnt", 0) + d["n"]
-            for f in fields:
-                new[f"{f}:sum"] = new.get(f"{f}:sum", 0.0) + d[f"{f}:sum"]
-                new[f"{f}:prod"] = new.get(f"{f}:prod", 1.0) * d[f"{f}:prod"]
-                if f"{f}:first" not in new:
-                    new[f"{f}:first"] = d[f"{f}:first"]
-                if need_lag:
-                    new[f"{f}:lastK"] = (new.get(f"{f}:lastK", [])
-                                         + d[f"{f}:lastK"])[-need_lag:]
-                if want_ewma:
-                    for k, a in enumerate(alphas):
-                        B = (1.0 - a) ** d["n"]
-                        prev = new.get(f"{f}:ewma:{k}")
-                        new[f"{f}:ewma:{k}"] = \
-                            d[f"{f}:ewmA:{k}"] + B * prev \
-                            if prev is not None else d[f"{f}:ewmNC:{k}"]
-            state[key] = new
-        carries.append(cin)
-    if need_lead:
-        # shift_lead needs the next K same-group values, accumulated
-        # backwards across following blocks
-        nxt: dict[tuple, dict] = {}
-        for i in range(len(summaries) - 1, -1, -1):
-            for key, d in summaries[i]:
-                cr = carries[i].setdefault(key, {})
-                cr_next = nxt.get(key, {})
-                for f in fields:
-                    cr[f"{f}:nextK"] = cr_next.get(f, [])
-            for key, d in summaries[i]:
-                prev_nxt = nxt.get(key, {})
-                nxt[key] = {
-                    f: (d[f"{f}:firstK"] + prev_nxt.get(f, []))[:need_lead]
-                    for f in fields}
+    def lead(later: dict, d: dict) -> dict:
+        return {f"{f}:firstK": (d[f"{f}:firstK"]
+                                + later[f"{f}:firstK"])[:need_lead]
+                for f in fields}
+
+    def carries(summaries: list) -> list:
+        before = running_carries(summaries, fold)
+        # shift_lead needs the next K same-group values, folded
+        # backwards over the following blocks
+        after = running_carries(summaries[::-1], lead)[::-1] if need_lead \
+            else [{}] * len(summaries)
+        return list(zip(before, after))
 
     sfx = {"from-first": "from_first"}
-    new_cols = []
-    for s, b, _n in parsed:
-        if b == "ewma":
-            new_cols += [f"{f}{c}" for f in fields for c in ecols]
-        else:
-            new_cols += [f"{f}_{sfx.get(s, s)}" for f in fields]
 
-    @ray.remote
-    def _apply(block, carry: dict) -> pd.DataFrame:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            for c in new_cols:
-                if c not in df.columns:
-                    df[c] = pd.Series(dtype=np.float64)
-            return df
+    def apply(df: pd.DataFrame, carry: tuple) -> pd.DataFrame:
+        before, after = carry
         df = df.sort_values(order_by).reset_index(drop=True)
-        groups = df.groupby(gb, sort=False).indices if gb \
-            else {(): np.arange(len(df))}
-        for key, idx in groups.items():
-            if gb and not isinstance(key, tuple):
-                key = (key,)
-            cr = carry.get(key, {})
+        for key, idx in group_index(df, gb).items():
+            cr = before.get(key, {})
+            nx = after.get(key, {})
             for f in fields:
                 x = df.loc[idx, f].to_numpy(dtype=np.float64)
                 L = np.asarray(cr.get(f"{f}:lastK", []), dtype=np.float64)
-                R = np.asarray(cr.get(f"{f}:nextK", []), dtype=np.float64)
+                R = np.asarray(nx.get(f"{f}:firstK", []), dtype=np.float64)
 
                 def lag(n: int) -> np.ndarray:
                     full = np.concatenate([L, x])
@@ -1122,55 +1034,35 @@ def step(ds, fields: list[str], steppers: list[str], group_by: list[str],
                         # (step.go stepperRatio, FromInt(1))
                         v[np.isnan(pv)] = 1.0
                     else:  # from-first
-                        first = cr.get(f"{f}:first")
-                        if first is None:
-                            first = x[0] if len(x) else np.nan
-                        v = x - first
+                        v = x - cr.get(f"{f}:first", x[0])
                     col = f"{f}_{sfx.get(s, s)}"
                     if col not in df.columns:
                         df[col] = np.nan
                     df.loc[idx, col] = v
         return df
 
-    out_refs = [_apply.remote(b, carries[i])
-                for i, b in enumerate(block_refs)]
-    return rd.from_pandas_refs(out_refs)
+    return ordered_scan(ds, gb + [order_by], summarize, carries, apply)
 
 
 def _rank_sorted(ds, field: str, group_by: list[str],
                  output_name: str):
     """Sort-based competition rank for NEAR-UNIQUE value columns (e.g.
     continuous floats), where the (group, value)->rank lookup table
-    would be as big as the data and a broadcast would not fit. Shape:
-    tag each row with its (block, offset) id, global sort by
-    (group..., value), per-block vectorized local ranks with an
-    O(blocks) driver-side boundary-carry chain (only the group/value
-    run spanning a block edge needs state — same machinery as step()),
-    then a final sort by the row tag to restore record order. Two
+    would be as big as the data and a broadcast would not fit. Two
+    ``ordered_scan``s: the first, unsorted, tags each row with its
+    global row id (summary: row count; carry: rows in earlier blocks);
+    the second, sorted by (group..., value), ranks locally (summary: the
+    group and value run at the block's end; carry: the run continuing
+    into the block). A final sort by row id restores record order. Two
     all-to-all sorts of the full stream: the honest price of ranking
     values that never repeat."""
-    import ray
-    import ray.data as rd
-
     gb = list(group_by or [])
 
-    mat = ds.materialize()
-    in_refs = [br for bundle in mat.iter_internal_ref_bundles()
-               for br in bundle.block_refs]
-
-    @ray.remote
-    def _tag(block, bi: int) -> pd.DataFrame:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        df = df.copy()
-        df["__rk_b"] = np.int64(bi)
-        df["__rk_i"] = np.arange(len(df), dtype=np.int64)
-        return df
-
-    tagged = rd.from_pandas_refs(
-        [_tag.remote(b, i) for i, b in enumerate(in_refs)])
-    sds = tagged.sort(gb + [field]).materialize()
-    sblocks = [br for bundle in sds.iter_internal_ref_bundles()
-               for br in bundle.block_refs]
+    tagged = ordered_scan(
+        ds, None, len,
+        lambda counts: list(accumulate(counts, initial=0))[:-1],
+        lambda df, first: df.assign(
+            __rk=first + np.arange(len(df), dtype=np.int64)))
 
     def _run_edges(df: pd.DataFrame):
         """(group-change, run-change) boolean arrays; row 0 is True."""
@@ -1185,11 +1077,7 @@ def _rank_sorted(ds, field: str, group_by: list[str],
         vch[1:] |= fv[1:] != fv[:-1]
         return gch, vch
 
-    @ray.remote
-    def _summary(block):
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            return None
+    def summarize(df: pd.DataFrame) -> dict:
         gch, vch = _run_edges(df)
         last_gstart = int(np.flatnonzero(gch)[-1])
         last_rstart = int(np.flatnonzero(vch)[-1])
@@ -1200,35 +1088,27 @@ def _rank_sorted(ds, field: str, group_by: list[str],
             "local_start_last_run": last_rstart - last_gstart,
         }
 
-    summaries = ray.get([_summary.remote(b) for b in sblocks])
+    def carries(summaries: list) -> list:
+        # state = (group, rows-so-far-in-group, last value, rank
+        # assigned to that value) for the group touching the block's
+        # trailing edge; each block's INCOMING state is its carry.
+        # Sorted order guarantees only that one group/run can span.
+        state = (None, 0, None, 0)
+        out = []
+        for s in summaries:
+            out.append(state)
+            g0, P, v0, r0 = state
+            Pg = P if s["last_g"] == g0 else 0
+            total = s["n_last_group"] + Pg
+            if (s["last_g"] == g0 and s["last_v"] == v0
+                    and s["local_start_last_run"] == 0):
+                r_last = r0  # the run continues straight from the carry
+            else:
+                r_last = 1 + s["local_start_last_run"] + Pg
+            state = (s["last_g"], total, s["last_v"], r_last)
+        return out
 
-    # driver chain: state = (group, rows-so-far-in-group,
-    # last value, rank assigned to that value) for the group touching
-    # the block's trailing edge; each block's INCOMING state is its
-    # carry. Sorted order guarantees only that one group/run can span.
-    state = (None, 0, None, 0)
-    carries = []
-    for s in summaries:
-        carries.append(state)
-        if s is None:
-            continue
-        g0, P, v0, r0 = state
-        Pg = P if s["last_g"] == g0 else 0
-        total = s["n_last_group"] + Pg
-        if (s["last_g"] == g0 and s["last_v"] == v0
-                and s["local_start_last_run"] == 0):
-            r_last = r0  # the run continues straight from the carry
-        else:
-            r_last = 1 + s["local_start_last_run"] + Pg
-        state = (s["last_g"], total, s["last_v"], r_last)
-
-    @ray.remote
-    def _apply(block, carry) -> pd.DataFrame:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        df = df.copy()
-        if not len(df):
-            df[output_name] = pd.Series(dtype=np.int64)
-            return df
+    def apply(df: pd.DataFrame, carry: tuple) -> pd.DataFrame:
         g0, P, v0, r0 = carry
         gch, vch = _run_edges(df)
         idx = np.arange(len(df), dtype=np.int64)
@@ -1247,11 +1127,8 @@ def _rank_sorted(ds, field: str, group_by: list[str],
         df[output_name] = ranks.astype(np.int64)
         return df
 
-    out_refs = [_apply.remote(b, carries[i])
-                for i, b in enumerate(sblocks)]
-    ranked = rd.from_pandas_refs(out_refs)
-    restored = ranked.sort(["__rk_b", "__rk_i"])
-    return restored.drop_columns(["__rk_b", "__rk_i"])
+    ranked = ordered_scan(tagged, gb + [field], summarize, carries, apply)
+    return ranked.sort("__rk").drop_columns(["__rk"])
 
 
 def rank(ds, field: str, group_by: list[str] | None = None,
@@ -2280,47 +2157,48 @@ def cumulative_fraction(ds, field: str, group_by: list[str] | None = None,
     return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
 
 
+def _edge_rows(m: int, n: int):
+    """``ordered_scan`` summary and carries for window verbs: a block's
+    summary is its first n and last m rows; its carry is the m rows
+    before it and the n rows after it in sorted order (``None`` at the
+    ends), gathered across as many neighbouring blocks as it takes."""
+
+    def summarize(df: pd.DataFrame) -> tuple:
+        return df.head(n), df.tail(m)
+
+    def carries(summaries: list) -> list:
+        before, after, run = [], [], None
+        for _, tail in summaries:
+            before.append(run)
+            run = pd.concat([run, tail]).tail(m)
+        run = None
+        for head, _ in reversed(summaries):
+            after.append(run)
+            run = pd.concat([head, run]).head(n)
+        return list(zip(before, reversed(after)))
+
+    return summarize, carries
+
+
 def stats1_windowed(ds, accs: list[str], fields: list[str], group_by: list[str],
                     order_by: str, window: int):
     """Verb ``stats1 -w n`` (stats1.go:478-550): per-group trailing
     window of the last n records, re-emitting per record. Miller keeps
     a ring buffer per group; stream order is not stable distributed, so
-    an explicit order column is required.
+    an explicit order column is required. Supported accs: count, sum,
+    mean, min, max, var, stddev.
 
-    SCALE path (no per-group reducer): sort by (group..., order), then
-    one parallel task per sorted BLOCK with a (window-1)-row boundary
-    CARRY fetched from the preceding blocks' tails — tiny objects, one
-    per block. A hot group spans many blocks and still parallelizes;
-    per-task memory is block + window-1 rows. Supported accs: count,
-    sum, mean, min, max, var, stddev."""
-    import ray
-    import ray.data as rd
-
+    An ``ordered_scan``: a block's carry is the window-1 rows before it
+    (``_edge_rows``), context only and not emitted."""
     roll_fns = {"count": "count", "sum": "sum", "mean": "mean", "min": "min",
                 "max": "max", "var": "var", "stddev": "std"}
     bad = [a for a in accs if a not in roll_fns]
     if bad:
         raise ValueError(f"unsupported windowed accumulators: {bad}")
     gb = list(group_by or [])
-    sorted_ds = ds.sort(gb + [order_by]).materialize()
-    block_refs = [br for bundle in sorted_ds.iter_internal_ref_bundles()
-                  for br in bundle.block_refs]
 
-    @ray.remote
-    def _nrows(block) -> int:
-        return len(block)
-
-    @ray.remote
-    def _tail(block, k: int):
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        return df.tail(k)
-
-    @ray.remote
-    def _roll(block, *carry_parts):
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        n = len(df)
-        work = pd.concat([*carry_parts, df], ignore_index=True) \
-            if carry_parts else df.reset_index(drop=True)
+    def roll(df: pd.DataFrame, carry: tuple) -> pd.DataFrame:
+        work = pd.concat([carry[0], df], ignore_index=True)
         for f in fields:
             for a in accs:
                 fn = roll_fns[a]
@@ -2332,22 +2210,10 @@ def stats1_windowed(ds, accs: list[str], fields: list[str], group_by: list[str],
                     col = getattr(work[f].rolling(window, min_periods=1),
                                   fn)()
                 work[f"{f}_{a}_w{window}"] = col
-        # carry rows were context only; emit just this block's rows
-        return work.iloc[len(work) - n:].reset_index(drop=True)
+        return work.iloc[len(work) - len(df):].reset_index(drop=True)
 
-    nrows = ray.get([_nrows.remote(b) for b in block_refs])
-    carry_need = window - 1
-    out_refs = []
-    for i, b in enumerate(block_refs):
-        parts, need, j = [], carry_need, i - 1
-        while need > 0 and j >= 0:
-            take = min(need, nrows[j])
-            if take > 0:
-                parts.insert(0, _tail.remote(block_refs[j], take))
-                need -= take
-            j -= 1
-        out_refs.append(_roll.remote(b, *parts))
-    return rd.from_pandas_refs(out_refs)
+    return ordered_scan(ds, gb + [order_by],
+                        *_edge_rows(window - 1, 0), roll)
 
 
 def cut_regex(ds, pattern: str, complement: bool = False):
@@ -2516,53 +2382,21 @@ def step_slwin(ds, fields: list[str], m: int, n: int, group_by: list[str],
     mean over a centered window of m records back / n forward, shrunk at
     group edges — cumsum-vectorized per group.
 
-    SCALE path (no per-group reducer): one global sort by
-    (group..., order), then one parallel task per sorted BLOCK padded
-    with an m-row tail carry from the preceding blocks and an n-row
-    head carry from the following blocks (tiny objects, same shape as
-    stats1_windowed). A row near a block edge either sees its true
-    group edge inside the padding (correct shrink) or has >= m / >= n
-    same-group context rows (no shrink applies); padded rows are
-    context only and are not emitted."""
-    import ray
-    import ray.data as rd
-
+    An ``ordered_scan``: a block's carry is the m rows before it and the
+    n rows after it (``_edge_rows``), context only and not emitted. A
+    row near a block edge either sees its true group edge inside that
+    padding (correct shrink) or has >= m / >= n same-group context rows
+    (no shrink applies)."""
     gb = list(group_by or [])
-    sorted_ds = ds.sort(gb + [order_by]).materialize()
-    block_refs = [br for bundle in sorted_ds.iter_internal_ref_bundles()
-                  for br in bundle.block_refs]
+    cols = [f"{f}_slwin_{m}_{n}" for f in fields]
 
-    @ray.remote
-    def _nrows(block) -> int:
-        return len(block)
-
-    @ray.remote
-    def _tail(block, k: int):
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        return df.tail(k)
-
-    @ray.remote
-    def _head(block, k: int):
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        return df.head(k)
-
-    @ray.remote
-    def _roll(block, nprev: int, *pads):
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            for f in fields:
-                df[f"{f}_slwin_{m}_{n}"] = pd.Series(dtype=np.float64)
-            return df
-        work = pd.concat([*pads[:nprev], df, *pads[nprev:]],
-                         ignore_index=True) if pads \
-            else df.reset_index(drop=True)
-        own_lo = sum(len(p) for p in pads[:nprev])
-        groups = work.groupby(gb, sort=False).indices if gb \
-            else {(): np.arange(len(work))}
-        cols = [f"{f}_slwin_{m}_{n}" for f in fields]
+    def roll(df: pd.DataFrame, carry: tuple) -> pd.DataFrame:
+        before, after = carry
+        work = pd.concat([before, df, after], ignore_index=True)
+        own_lo = 0 if before is None else len(before)
         for c in cols:
             work[c] = np.nan
-        for _, idx in groups.items():
+        for idx in group_index(work, gb).values():
             N = len(idx)
             pos = np.arange(N)
             lo = np.maximum(pos - m, 0)
@@ -2573,25 +2407,7 @@ def step_slwin(ds, fields: list[str], m: int, n: int, group_by: list[str],
                 work.loc[idx, c] = (s[hi + 1] - s[lo]) / (hi - lo + 1)
         return work.iloc[own_lo:own_lo + len(df)].reset_index(drop=True)
 
-    nrows = ray.get([_nrows.remote(b) for b in block_refs])
-    out_refs = []
-    for i, b in enumerate(block_refs):
-        prevs, need, j = [], m, i - 1
-        while need > 0 and j >= 0:
-            take = min(need, nrows[j])
-            if take > 0:
-                prevs.insert(0, _tail.remote(block_refs[j], take))
-                need -= take
-            j -= 1
-        nexts, need, j = [], n, i + 1
-        while need > 0 and j < len(block_refs):
-            take = min(need, nrows[j])
-            if take > 0:
-                nexts.append(_head.remote(block_refs[j], take))
-                need -= take
-            j += 1
-        out_refs.append(_roll.remote(b, len(prevs), *prevs, *nexts))
-    return rd.from_pandas_refs(out_refs)
+    return ordered_scan(ds, gb + [order_by], *_edge_rows(m, n), roll)
 
 
 def merge_fields_collapse(ds, accs: list[str], substrings: list[str],
@@ -2900,60 +2716,24 @@ def decimate_positional(ds, n: int, group_by: list[str], order_by: str,
     last (default, -e) or first (-b) of every n records per group
     (decimate.go; Miller counts in stream order).
 
-    SCALE path (no per-group reducer): one global sort by
-    (group..., order), then one parallel task per sorted BLOCK seeded
-    with the group's incoming record COUNT from preceding blocks —
-    one scalar per (block, group), chained on the driver (same shape
-    as ``step``). Position within the group is carry + local arange;
-    the modulo filter is then block-local."""
-    import ray
-    import ray.data as rd
-
+    An ``ordered_scan``: a block's summary is its record count per
+    group; its carry is the group's count over all earlier blocks, so
+    position within the group is carry + local arange."""
     gb = list(group_by or [])
-    sorted_ds = ds.sort(gb + [order_by]).materialize()
-    block_refs = [br for bundle in sorted_ds.iter_internal_ref_bundles()
-                  for br in bundle.block_refs]
 
-    @ray.remote
-    def _counts(block) -> list:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            return []
-        g = df.groupby(gb, sort=False) if gb else [((), df)]
-        out = []
-        for key, sub in g:
-            if gb and not isinstance(key, tuple):
-                key = (key,)
-            out.append((key, len(sub)))
-        return out
-
-    summaries = ray.get([_counts.remote(b) for b in block_refs])
-    state: dict[tuple, int] = {}
-    carries: list[dict] = []
-    for sm in summaries:
-        carries.append(dict(state))
-        for key, cnt in sm:
-            state[key] = state.get(key, 0) + cnt
-
-    @ray.remote
-    def _apply(block, carry: dict) -> pd.DataFrame:
-        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
-        if not len(df):
-            return df
+    def apply(df: pd.DataFrame, carry: dict) -> pd.DataFrame:
         df = df.sort_values(order_by).reset_index(drop=True)
-        groups = df.groupby(gb, sort=False).indices if gb \
-            else {(): np.arange(len(df))}
         keep = np.zeros(len(df), dtype=bool)
-        for key, idx in groups.items():
-            if gb and not isinstance(key, tuple):
-                key = (key,)
+        for key, idx in group_index(df, gb).items():
             i = carry.get(key, 0) + np.arange(len(idx))
             keep[idx] = (i % n == 0) if keep_first else (i % n == n - 1)
         return df[keep]
 
-    out_refs = [_apply.remote(b, carries[i])
-                for i, b in enumerate(block_refs)]
-    return rd.from_pandas_refs(out_refs)
+    return ordered_scan(
+        ds, gb + [order_by],
+        lambda df: {k: len(idx) for k, idx in group_index(df, gb).items()},
+        lambda sms: running_carries(sms, lambda a, b: a + b),
+        apply)
 
 
 def altkv(ds):

@@ -278,3 +278,38 @@ def test_pii_redact_planted(rd):
     assert list(out["text"]) == [
         "contact <EMAIL> or <IP> ssn <SSN>", "no pii here at all"]
     assert list(out["n_redacted"]) == [3, 0]
+
+
+def test_topk_with_empty_blocks(rd):
+    """Empty blocks in the corpus change neither top-k answer."""
+    import numpy as np
+
+    from miller_ray.stages import ann
+
+    centers, pts = _clustered_vecs()
+    t = pa.table({"vec_id": pa.array(np.arange(len(pts), dtype=np.int64)),
+                  "embedding": pa.array(list(pts), type=pa.list_(pa.float64()))})
+    ds = rd.from_arrow([t.slice(0, 0), t.slice(0, 300), t.slice(300, 0),
+                        t.slice(300)])
+    queries = centers[:2]
+    exact = ann.brute_force_topk(rd.from_arrow(t), queries, k=8)
+    assert ann.brute_force_topk(ds, queries, k=8).equals(exact)
+    cents = ann.train_ivf_centroids(rd.from_arrow(t), n_lists=4,
+                                    sample_target=256)
+    full = ann.ivf_topk(ds, queries, k=8, n_lists=4, nprobe=4,
+                        centroids=cents)
+    assert full.equals(exact)
+
+
+def test_kmeanspp_first_centroid_depends_on_seed():
+    """The first k-means++ pick is ``splitmix64(0, seed) mod n`` in
+    integer arithmetic; a float64 modulo of the 64-bit hash loses its
+    low bits and picked row 0 for every seed."""
+    import numpy as np
+
+    from miller_ray.stages import ann
+
+    sample = np.eye(16)  # row i is the only row with a 1 in column i
+    firsts = {int(np.argmax(ann._kmeanspp_init(sample, 1, seed)[0]))
+              for seed in range(32)}
+    assert len(firsts) > 1, firsts

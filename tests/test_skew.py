@@ -61,3 +61,19 @@ def test_partial_rows_bounded_by_groups_not_rows(skewed_ds):
     # most, far below row count
     out = build_grouped_sketches(ds, ["source"], [spec], n_salts=4)
     assert len(out) == t["source"].to_pandas().nunique()
+
+
+def test_distributed_grouped_merge_equals_driver_fold(skewed_ds):
+    """More than 5000 partial rows take the salted two-level merge
+    instead of the driver fold; HLL merges are exact (register max),
+    so both branches give the same per-group estimates."""
+    ds = skewed_ds[0].limit(5100)
+    spec = SketchSpec.column("h", lambda: HyperLogLog(p=10), "doc_id")
+    fold = build_grouped_sketches(ds, ["source"], [spec], n_salts=8)
+    dist = build_grouped_sketches(ds, ["source"], [spec], batch_size=1,
+                                  n_salts=8)  # one partial row per record
+
+    def estimates(out):
+        return {s: h.estimate() for s, h in zip(out["source"], out["h"])}
+
+    assert estimates(dist) == estimates(fold)

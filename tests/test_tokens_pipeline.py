@@ -76,3 +76,18 @@ def test_grouped_sketches_per_source(ray_session, sf001):
     for _, row in out.iterrows():
         e = exact[row["source"]]
         assert abs(row["doc_id_distinct_est"] - e) / max(e, 1) < 0.05
+
+
+def test_read_tokens_batches_one_per_shard(ray_session, tmp_path, monkeypatch):
+    """read_tokens sizes its batches by the table's own shard count, so
+    8 shards of 3200 rows give one partial per shard."""
+    from miller_ray.schema import generate_tokens_table
+
+    for i in range(8):
+        pq.write_table(generate_tokens_table(3200, seed=i),
+                       tmp_path / f"part-{i:05d}.parquet")
+    monkeypatch.setattr(T, "tokens_parquet_path", lambda n: str(tmp_path))
+    ds = T.read_tokens("", n_rows=8 * 3200)
+    sizes = ds.map_batches(lambda b: pa.table({"rows": [b.num_rows]}),
+                           batch_format="pyarrow").to_pandas()["rows"]
+    assert sorted(sizes) == [3200] * 8

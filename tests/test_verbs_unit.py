@@ -172,6 +172,25 @@ def test_sorted_merge_join(rd):
     assert "l_lv" in pref.columns and "r_sv" in pref.columns
 
 
+def _carry_cases(rd, df, k, pos):
+    """Inputs of the boundary-carry tests, as (case, frame, Dataset,
+    group-by); column ``pos`` holds each row's position in ``df``.
+
+    - ``blocks``: ``df`` over ``k`` blocks, grouped by ``g``;
+    - ``empty_blocks``: ``df`` over 24 blocks of which only the first
+      two keep their rows; the sort then cuts 24 ranges from at most 20
+      sampled keys, so some sorted blocks are empty too;
+    - ``two_keys``: ``df`` over ``k`` blocks, grouped by ``g`` and ``h``.
+    """
+    yield "blocks", df, rd.from_pandas(df).repartition(k), ["g"]
+    cut = len(df) // 12
+    ds = rd.from_pandas(df).repartition(24).map_batches(
+        lambda b: b[b[pos] < cut], batch_format="pandas")
+    yield "empty_blocks", df[df[pos] < cut], ds, ["g"]
+    df2 = df.assign(h=np.arange(len(df)) // 7 % 2)
+    yield "two_keys", df2, rd.from_pandas(df2).repartition(k), ["g", "h"]
+
+
 def test_stats1_windowed_boundary_carry(rd):
     # many blocks force carries across block boundaries; result must
     # equal a single-partition pandas rolling
@@ -180,16 +199,16 @@ def test_stats1_windowed_boundary_carry(rd):
     df = pd.DataFrame({"g": ["a", "b"] * (n // 2),
                        "o": list(range(n // 2)) * 2,
                        "x": np.arange(n, dtype=float)})
-    ds = rd.from_pandas(df).repartition(8)
-    out = verbs.stats1_windowed(ds, ["sum", "mean", "min"], ["x"],
-                                ["g"], "o", 5).to_pandas()
-    out = out.sort_values(["g", "o"]).reset_index(drop=True)
-    ref = df.sort_values(["g", "o"]).reset_index(drop=True)
-    for a, fn in (("sum", "sum"), ("mean", "mean"), ("min", "min")):
-        want = ref.groupby("g", sort=False)["x"].transform(
-            lambda s: getattr(s.rolling(5, min_periods=1), fn)())
-        got = out[f"x_{a}_w5"]
-        assert np.allclose(got.to_numpy(), want.to_numpy()), a
+    for case, df, ds, gb in _carry_cases(rd, df, 8, "x"):
+        out = verbs.stats1_windowed(ds, ["sum", "mean", "min"], ["x"],
+                                    gb, "o", 5).to_pandas()
+        out = out.sort_values(gb + ["o"]).reset_index(drop=True)
+        ref = df.sort_values(gb + ["o"]).reset_index(drop=True)
+        for a, fn in (("sum", "sum"), ("mean", "mean"), ("min", "min")):
+            want = ref.groupby(gb, sort=False)["x"].transform(
+                lambda s: getattr(s.rolling(5, min_periods=1), fn)())
+            got = out[f"x_{a}_w5"]
+            assert np.allclose(got.to_numpy(), want.to_numpy()), (case, a)
 
 
 def test_group_by_verb(rd):
@@ -234,26 +253,26 @@ def test_step_boundary_carry_all_steppers(rd):
                        "x": rng.uniform(0.5, 2.0, n)})
     steppers = ["delta", "shift_lag", "shift_lead", "rsum", "rprod",
                 "counter", "ewma", "ratio", "from-first"]
-    ds = rd.from_pandas(df).repartition(13)
-    out = verbs.step(ds, ["x"], steppers, ["g"], "o").to_pandas()
-    out = out.sort_values(["g", "o"]).reset_index(drop=True)
-    ref = df.sort_values(["g", "o"]).reset_index(drop=True)
-    grp = ref.groupby("g", sort=False)["x"]
-    want = {
-        "x_delta": grp.diff().fillna(0),
-        "x_shift_lag": grp.shift(1),
-        "x_shift_lead": grp.shift(-1),
-        "x_rsum": grp.cumsum(),
-        "x_rprod": grp.cumprod(),
-        "x_counter": grp.cumcount() + 1,
-        "x_ewma": grp.transform(
-            lambda s: s.ewm(alpha=0.5, adjust=False).mean()),
-        "x_ratio": (ref["x"] / grp.shift(1)).fillna(1.0),
-        "x_from_first": grp.transform(lambda s: s - s.iloc[0]),
-    }
-    for col, w in want.items():
-        assert np.allclose(out[col].to_numpy(), w.to_numpy(),
-                           equal_nan=True), col
+    for case, df, ds, gb in _carry_cases(rd, df, 13, "o"):
+        out = verbs.step(ds, ["x"], steppers, gb, "o").to_pandas()
+        out = out.sort_values(gb + ["o"]).reset_index(drop=True)
+        ref = df.sort_values(gb + ["o"]).reset_index(drop=True)
+        grp = ref.groupby(gb, sort=False)["x"]
+        want = {
+            "x_delta": grp.diff().fillna(0),
+            "x_shift_lag": grp.shift(1),
+            "x_shift_lead": grp.shift(-1),
+            "x_rsum": grp.cumsum(),
+            "x_rprod": grp.cumprod(),
+            "x_counter": grp.cumcount() + 1,
+            "x_ewma": grp.transform(
+                lambda s: s.ewm(alpha=0.5, adjust=False).mean()),
+            "x_ratio": (ref["x"] / grp.shift(1)).fillna(1.0),
+            "x_from_first": grp.transform(lambda s: s - s.iloc[0]),
+        }
+        for col, w in want.items():
+            assert np.allclose(out[col].to_numpy(), w.to_numpy(),
+                               equal_nan=True), (case, col)
 
 
 def test_step_ungrouped_multi_block(rd):
@@ -278,13 +297,13 @@ def test_fill_down_boundary_carry(rd):
     x[rng.random(n) < 0.6] = np.nan
     df = pd.DataFrame({"g": rng.choice(["a", "b"], n),
                        "o": np.arange(n), "x": x})
-    ds = rd.from_pandas(df).repartition(11)
-    out = verbs.fill_down(ds, ["x"], ["g"], "o").to_pandas()
-    out = out.sort_values(["g", "o"]).reset_index(drop=True)
-    ref = df.sort_values(["g", "o"]).reset_index(drop=True)
-    want = ref.groupby("g", sort=False)["x"].ffill()
-    assert np.allclose(out["x"].to_numpy(), want.to_numpy(),
-                       equal_nan=True)
+    for case, df, ds, gb in _carry_cases(rd, df, 11, "o"):
+        out = verbs.fill_down(ds, ["x"], gb, "o").to_pandas()
+        out = out.sort_values(gb + ["o"]).reset_index(drop=True)
+        ref = df.sort_values(gb + ["o"]).reset_index(drop=True)
+        want = ref.groupby(gb, sort=False)["x"].ffill()
+        assert np.allclose(out["x"].to_numpy(), want.to_numpy(),
+                           equal_nan=True), case
 
 
 def test_step_slwin_boundary_carry(rd):
@@ -295,10 +314,6 @@ def test_step_slwin_boundary_carry(rd):
     df = pd.DataFrame({"g": rng.choice(["a", "b"], n),
                        "o": np.arange(n),
                        "x": rng.uniform(0, 10, n)})
-    ds = rd.from_pandas(df).repartition(12)
-    out = verbs.step_slwin(ds, ["x"], 3, 2, ["g"], "o").to_pandas()
-    out = out.sort_values(["g", "o"]).reset_index(drop=True)
-    ref = df.sort_values(["g", "o"]).reset_index(drop=True)
 
     def slwin(s):
         x = s.to_numpy(dtype=float)
@@ -310,8 +325,13 @@ def test_step_slwin_boundary_carry(rd):
         return pd.Series((c[hi + 1] - c[lo]) / (hi - lo + 1),
                          index=s.index)
 
-    want = ref.groupby("g", sort=False)["x"].transform(slwin)
-    assert np.allclose(out["x_slwin_3_2"].to_numpy(), want.to_numpy())
+    for case, df, ds, gb in _carry_cases(rd, df, 12, "o"):
+        out = verbs.step_slwin(ds, ["x"], 3, 2, gb, "o").to_pandas()
+        out = out.sort_values(gb + ["o"]).reset_index(drop=True)
+        ref = df.sort_values(gb + ["o"]).reset_index(drop=True)
+        want = ref.groupby(gb, sort=False)["x"].transform(slwin)
+        assert np.allclose(out["x_slwin_3_2"].to_numpy(),
+                           want.to_numpy()), case
 
 
 def test_decimate_positional_boundary_carry(rd):
@@ -319,17 +339,17 @@ def test_decimate_positional_boundary_carry(rd):
     n = 100
     df = pd.DataFrame({"g": ["a", "b"] * (n // 2),
                        "o": np.arange(n), "x": np.arange(n)})
-    ds = rd.from_pandas(df).repartition(7)
-    out = verbs.decimate_positional(ds, 3, ["g"], "o").to_pandas()
-    out = out.sort_values(["g", "o"]).reset_index(drop=True)
-    ref = df.sort_values(["g", "o"]).reset_index(drop=True)
-    want = ref.groupby("g", sort=False).nth(slice(2, None, 3)) \
-        .sort_values(["g", "o"]).reset_index(drop=True)
-    assert out["o"].tolist() == want["o"].tolist()
-    first = verbs.decimate_positional(ds, 3, ["g"], "o",
-                                      keep_first=True).to_pandas()
-    wantf = ref.groupby("g", sort=False).nth(slice(0, None, 3))
-    assert sorted(first["o"]) == sorted(wantf["o"])
+    for case, df, ds, gb in _carry_cases(rd, df, 7, "o"):
+        out = verbs.decimate_positional(ds, 3, gb, "o").to_pandas()
+        out = out.sort_values(gb + ["o"]).reset_index(drop=True)
+        ref = df.sort_values(gb + ["o"]).reset_index(drop=True)
+        want = ref.groupby(gb, sort=False).nth(slice(2, None, 3)) \
+            .sort_values(gb + ["o"]).reset_index(drop=True)
+        assert out["o"].tolist() == want["o"].tolist(), case
+        first = verbs.decimate_positional(ds, 3, gb, "o",
+                                          keep_first=True).to_pandas()
+        wantf = ref.groupby(gb, sort=False).nth(slice(0, None, 3))
+        assert sorted(first["o"]) == sorted(wantf["o"]), case
 
 
 def test_nest_implode_partial_preagg(rd):
@@ -354,15 +374,16 @@ def test_rank_sort_path_near_unique(rd):
         "row": np.arange(n),
     })
     df.loc[rng.choice(n, 300, replace=False), "v"] = 0.25  # ties
-    ds = rd.from_pandas(df).repartition(11)
-    out = verbs.rank(ds, "v", ["g"], broadcast_limit=0).to_pandas()
-    assert (out["row"].to_numpy() == df["row"].to_numpy()).all()
-    exp = df.groupby("g")["v"].rank(method="min").astype(np.int64)
-    assert (out["v_rank"].to_numpy() == exp.to_numpy()).all()
-    # ungrouped agrees with the broadcast path
-    a = verbs.rank(ds, "v", [], broadcast_limit=0).to_pandas()
-    b = verbs.rank(ds, "v", []).to_pandas()
-    assert (a["v_rank"].to_numpy() == b["v_rank"].to_numpy()).all()
+    for case, df, ds, gb in _carry_cases(rd, df, 11, "row"):
+        out = verbs.rank(ds, "v", gb, broadcast_limit=0).to_pandas()
+        assert (out["row"].to_numpy() == df["row"].to_numpy()).all(), case
+        exp = df.groupby(gb)["v"].rank(method="min").astype(np.int64)
+        assert (out["v_rank"].to_numpy() == exp.to_numpy()).all(), case
+        # ungrouped agrees with the broadcast path
+        a = verbs.rank(ds, "v", [], broadcast_limit=0).to_pandas()
+        b = verbs.rank(ds, "v", []).to_pandas()
+        assert (a["v_rank"].to_numpy() == b["v_rank"].to_numpy()).all(), \
+            case
 
 
 def test_count_distinct_n_streaming(rd):
