@@ -2,20 +2,24 @@
 
 The north-rule execution shape (BASELINE.json): per-block partial
 sketches built inside ``map_batches`` over zero-copy Arrow batches, then
-a tree merge over KB-sized serialized partials — the wide all-to-all
+a merge over KB-sized serialized partials — the wide all-to-all
 shuffle a naive ``groupby`` would do never happens; only sketch blobs
-move.
+move. Every blob fold goes through ``merge_blobs``.
 
 - Global sketches: ``build_sketches`` -> one partial row per block ->
-  ``_tree_merge`` (map_batches merge levels while the partial count is
-  large, driver fold at the tip). At 10^12 rows / ~1M blocks the tree is
-  2 levels; partial blobs are ~16 KB (HLL p=14) so no stage ever holds
-  more than ``merge_fanin`` blobs in memory.
+  ``engine.merge.merge_partials`` with ``_merge_fn`` as the combiner:
+  merge levels of ``MERGE_FANIN``-way combines while the block estimate
+  is large, then one ``merge_blobs`` fold on the driver, all in one
+  execution.
+  At 10^12 rows / ~1M blocks that is 4 levels; partial blobs are ~16 KB
+  (HLL p=14), and a merge task holds about ``MERGE_FANIN`` of them.
 - Grouped sketches: ``build_grouped_sketches`` -> per-(block, group)
-  partial rows -> two-level salted merge: ``groupby(keys + salt)`` then
-  ``groupby(keys)``. A hot key (one ``source`` = 90% of rows, FIXTURES
-  F1) is absorbed at the partial stage (one row per block regardless of
-  row skew) and its merge fan-in is split across ``n_salts`` reducers.
+  partial rows -> a driver fold when there are few of them, else a
+  two-level salted merge on pyarrow groups: ``groupby(keys + salt)``
+  then ``groupby(keys)``. A hot key (one ``source`` = 90% of rows,
+  FIXTURES F1) is absorbed at the partial stage (one row per block
+  regardless of row skew) and its merge fan-in is split across
+  ``n_salts`` reducers.
 
 Builders are plain functions (stateless Ray tasks -> elastic, fusable).
 For expensive per-actor setup (shared broadcast state) pass an actor
@@ -31,6 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from miller_ray.engine.merge import merge_partials
 from miller_ray.hashing import hash64
 
 
@@ -112,80 +117,52 @@ def _partial_fn(specs: list[SketchSpec]):
     return build
 
 
+def merge_blobs(cls, blobs) -> Any:
+    """Deserialize a non-empty sequence of ``cls`` blobs and merge them
+    into one sketch — the one blob fold of the global build, the grouped
+    driver fold and the grouped merge levels."""
+    acc = cls.from_bytes(blobs[0])
+    for b in blobs[1:]:
+        acc.merge(cls.from_bytes(b))
+    return acc
+
+
 def _merge_fn(specs: list[SketchSpec]):
+    """Combiner over partial rows: one row whose spec columns hold the
+    merged blobs; any other column (group keys, salt) keeps its first
+    value, so it also merges one group of the grouped levels."""
     classes = {s.name: type(s.factory()) for s in specs}
 
     def merge(t: pa.Table) -> pa.Table:
-        row = {}
+        if not t.num_rows:
+            return t
+        row = {c: t[c].slice(0, 1) for c in t.column_names if c not in classes}
         for name, cls in classes.items():
-            blobs = t[name].to_pylist()
-            acc = cls.from_bytes(blobs[0])
-            for b in blobs[1:]:
-                acc.merge(cls.from_bytes(b))
-            row[name] = [acc.to_bytes()]
+            row[name] = [merge_blobs(cls, t[name].to_pylist()).to_bytes()]
         return pa.table(row)
 
     return merge
 
 
-def build_sketches(ds, specs: list[SketchSpec], batch_size: int | None = None,
-                   merge_fanin: int = 16) -> dict[str, Any]:
+def build_sketches(ds, specs: list[SketchSpec],
+                   batch_size: int | None = None) -> dict[str, Any]:
     """Build all specs in ONE pass over ds; returns {name: merged sketch}."""
     parts = ds.map_batches(_partial_fn(specs), batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=batch_size)
-    merge = _merge_fn(specs)
-    # Plan the merge-tree depth from the PRE-execution block-count
-    # estimate (one partial row per input block) so the whole
-    # build -> tree-merge -> take_all chain runs as a SINGLE streaming
-    # execution — a materialize()+count() round trip here costs a full
-    # extra executor startup (~0.2-0.4 s of serial driver time per
-    # build, the dominant fixed cost after the round-5 kernel work).
-    # The estimate only plans LEVEL COUNT; correctness never depends on
-    # it: if Ray splits blocks beyond the estimate, the driver fold
-    # below simply merges a longer (still KB-sized) tail of partials.
-    try:
-        n_est = int(ds._plan.initial_num_blocks() or 0)
-    except Exception:  # plan API unavailable -> single level + fold
-        n_est = 0
-    if n_est <= 0:
-        # no usable estimate: materialize once and count exactly
-        parts = parts.materialize()
-        n_est = parts.count()
-    # Tree-merge levels chain LAZILY: each map_batches(batch_size=
-    # merge_fanin) bundles ~merge_fanin single-row partial blocks per
-    # merge task, and only the final take_all() executes the whole
-    # chain — a materialize()+count() round-trip per level would cost
-    # one full execution each.
-    while n_est > merge_fanin:
-        parts = parts.map_batches(
-            merge, batch_format="pyarrow", batch_size=merge_fanin)
-        n_est = -(-n_est // merge_fanin)
-    rows = parts.take_all()
-    out: dict[str, Any] = {}
-    for spec in specs:
-        if not rows:  # empty input -> fresh (zero) sketches
-            out[spec.name] = spec.factory()
-            continue
-        cls = type(spec.factory())
-        acc = cls.from_bytes(rows[0][spec.name])
-        for r in rows[1:]:
-            acc.merge(cls.from_bytes(r[spec.name]))
-        out[spec.name] = acc
-    return out
+    left = merge_partials(parts, _merge_fn(specs))
+    if not left.num_rows:  # empty input -> fresh (zero) sketches
+        return {spec.name: spec.factory() for spec in specs}
+    # the driver's fold keeps the merged sketches as objects: packing
+    # them, as _merge_fn does, would only be undone here
+    return {spec.name: merge_blobs(type(spec.factory()), left[spec.name].to_pylist())
+            for spec in specs}
 
 
-def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
-                           batch_size: int | None = None,
-                           n_salts: int = 16) -> pd.DataFrame:
-    """Per-group sketches with two-level salted merge.
-
-    Returns a pandas DataFrame: group_by columns + one column per spec
-    holding the merged sketch OBJECT for that group (callers compute
-    estimates). Partial rows are one per (block, group); the salt splits
-    each group's merge fan-in across ``n_salts`` reducers before the
-    final per-group merge, so a hot group does not serialize on one
-    reducer (SURVEY.md §4 skew row).
-    """
+def _grouped_partial_fn(group_by: list[str], specs: list[SketchSpec],
+                        n_salts: int):
+    """Batch -> one partial row per group in the batch: the group keys,
+    one blob per spec, and ``__salt`` in [0, n_salts) hashed from the
+    first blob's content, so one group's partials spread over salts."""
 
     def build(t: pa.Table) -> pa.Table:
         df_keys = t.select(group_by).to_pandas()
@@ -220,9 +197,24 @@ def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
         out_cols["__salt"] = salts
         return pa.table(out_cols)
 
-    parts = ds.map_batches(build, batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=batch_size).materialize()
+    return build
 
+
+def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
+                           batch_size: int | None = None,
+                           n_salts: int = 16) -> pd.DataFrame:
+    """Per-group sketches with two-level salted merge.
+
+    Returns a pandas DataFrame: group_by columns + one column per spec
+    holding the merged sketch OBJECT for that group (callers compute
+    estimates). Partial rows are one per (block, group); the salt splits
+    each group's merge fan-in across ``n_salts`` reducers before the
+    final per-group merge, so a hot group does not serialize on one
+    reducer (SURVEY.md §4 skew row).
+    """
+    parts = ds.map_batches(_grouped_partial_fn(group_by, specs, n_salts),
+                           batch_format="pyarrow", zero_copy_batch=True,
+                           batch_size=batch_size).materialize()
     classes = {s.name: type(s.factory()) for s in specs}
 
     # Small fan-in: fold the KB-sized partials on the driver — two Ray
@@ -239,33 +231,17 @@ def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
                 key_vals = (key_vals,) if not isinstance(key_vals, tuple) else key_vals
             row = dict(zip(group_by, key_vals))
             for name, cls in classes.items():
-                acc = cls.from_bytes(grp[name].iloc[0])
-                for b in grp[name].iloc[1:]:
-                    acc.merge(cls.from_bytes(b))
-                row[name] = acc
+                row[name] = merge_blobs(cls, grp[name].tolist())
             rows.append(row)
         return pd.DataFrame(rows)
 
-    def merge_group(df: pd.DataFrame) -> pd.DataFrame:
-        row = {k: [df[k].iloc[0]] for k in group_by}
-        if "__salt" in df.columns:
-            row["__salt"] = [df["__salt"].iloc[0]]
-        for name, cls in classes.items():
-            acc = cls.from_bytes(df[name].iloc[0])
-            for b in df[name].iloc[1:]:
-                acc.merge(cls.from_bytes(b))
-            row[name] = [acc.to_bytes()]
-        return pd.DataFrame(row)
-
-    # level 1: (key, salt) -> level 2: key
-    lvl1 = parts.groupby(group_by + ["__salt"]).map_groups(merge_group, batch_format="pandas")
-    lvl1 = lvl1.drop_columns(["__salt"])
-
-    def merge_final(df: pd.DataFrame) -> pd.DataFrame:
-        return merge_group(df)
-
-    lvl2 = lvl1.groupby(group_by).map_groups(merge_final, batch_format="pandas")
-    pdf = lvl2.to_pandas()
+    # level 1: (key, salt) -> level 2: key; each group is one pyarrow
+    # table merged to one row by the same combiner as the global build
+    merge = _merge_fn(specs)
+    lvl1 = parts.groupby(group_by + ["__salt"]).map_groups(
+        merge, batch_format="pyarrow").drop_columns(["__salt"])
+    pdf = lvl1.groupby(group_by).map_groups(
+        merge, batch_format="pyarrow").to_pandas()
     for name, cls in classes.items():
         pdf[name] = pdf[name].map(cls.from_bytes)
     return pdf.reset_index(drop=True)

@@ -38,6 +38,24 @@ def _no_hits(t: pa.Table, id_col: str) -> pa.Table:
                      "sim": pa.array([], type=pa.float64())})
 
 
+def _rank_hits(ds, parts, k: int, id_col: str) -> pd.DataFrame:
+    """(query_id, rank, id_col) from the local top-k rows ``parts``: the
+    k best per query by (sim desc, id asc), rank 1-based. A dataset
+    without rows gives the typed empty frame (``to_pandas`` of no rows
+    drops the columns)."""
+    pdf = parts.to_pandas()
+    if pdf.empty:
+        id_type = ds.schema().base_schema.field(id_col).type
+        return pd.DataFrame({"query_id": pd.Series(dtype=np.int64),
+                             "rank": pd.Series(dtype=np.int64),
+                             id_col: pd.Series(dtype=id_type.to_pandas_dtype())})
+    pdf = pdf.sort_values(["query_id", "sim", id_col],
+                          ascending=[True, False, True])
+    top = pdf.groupby("query_id", sort=True).head(k).reset_index(drop=True)
+    top["rank"] = top.groupby("query_id").cumcount() + 1
+    return top[["query_id", "rank", id_col]]
+
+
 def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
                      emb_col: str = "embedding", id_col: str = "vec_id",
                      concurrency=(1, 4)) -> pd.DataFrame:
@@ -77,12 +95,7 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
 
     parts = ds.map_batches(Scorer, batch_format="pyarrow", zero_copy_batch=True,
                            concurrency=concurrency)
-    pdf = parts.to_pandas()  # small: nq * k * n_blocks rows
-    pdf = pdf.sort_values(["query_id", "sim", id_col],
-                          ascending=[True, False, True])
-    top = pdf.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    top["rank"] = top.groupby("query_id").cumcount() + 1
-    return top[["query_id", "rank", id_col]]
+    return _rank_hits(ds, parts, k, id_col)  # small: nq * k * n_blocks rows
 
 
 def _lsh_planes(d: int, n_planes: int, seed: int) -> np.ndarray:
@@ -384,13 +397,8 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, n_lists: int = 16,
                              for c, v in rows.items()})
 
     parts = ds.map_batches(Scorer, batch_format="pyarrow",
-                           zero_copy_batch=True,
-                           concurrency=(1, 4)).to_pandas()
-    parts = parts.sort_values(["query_id", "sim", id_col],
-                              ascending=[True, False, True])
-    top = parts.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-    top["rank"] = top.groupby("query_id").cumcount() + 1
-    return top[["query_id", "rank", id_col]]
+                           zero_copy_batch=True, concurrency=(1, 4))
+    return _rank_hits(ds, parts, k, id_col)
 
 
 def build_ivf_index(ds, out_dir: str, centroids: np.ndarray,

@@ -32,22 +32,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from miller_ray.engine.groupby import grouped_percentiles, grouped_stats
+from miller_ray.engine.merge import merge_partials
 from miller_ray.engine.scan import group_index, ordered_scan, running_carries
 
 _MOMENT_ACCS = {"count", "null_count", "sum", "mean", "min", "max", "var",
                 "stddev", "meaneb", "skewness", "kurtosis", "minlen", "maxlen"}
-
-
-def _fold_partials(parts, combine, fan: int = 64, **mb_kwargs):
-    """Tree-merge per-block partial rows through one distributed
-    combine round so the driver-side concat is bounded by ``fan``
-    combined blocks REGARDLESS of input block count (at 100 TB / ~1e6
-    blocks the naive ``parts.to_pandas()`` grows linearly in blocks).
-    ``combine`` must be a valid combiner: idempotent over already-
-    combined rows and correct under arbitrary partitioning (each call
-    sees some subset of partials and reduces it locally; the caller
-    does the final driver-side reduce over ≤ fan × bounded rows)."""
-    return parts.repartition(fan).map_batches(combine, **mb_kwargs)
 
 
 def _bucketed_group_apply(ds, keys: list[str], fn,
@@ -260,7 +249,7 @@ def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.Da
     """distinct_count / mode / antimode, fully distributed: per-block
     (group, value) partial counts -> Ray hash-shuffle merge keyed by
     (group, value) -> per-block per-group CANDIDATES (arg-max/arg-min
-    count + distinct partials) -> tiny O(blocks x groups) driver fold.
+    count + distinct partials) -> ``merge_partials`` of the candidates.
     The distinct-value table never lands on the driver.
 
     Tie-break: highest/lowest count, then smallest value
@@ -299,9 +288,7 @@ def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.Da
             columns={field: "__mode_v", "__n": "__mode_n"})
         out = out.merge(a[kk + [field, "__n"]].rename(
             columns={field: "__anti_v", "__n": "__anti_n"}), on=kk)
-        out = out.merge(dc, on=kk)
-        return out[([] if not keys else keys) + cand_cols[len(keys):]] if keys \
-            else out[cand_cols[len(keys):]]
+        return out.merge(dc, on=kk)[cand_cols]
 
     def combine_cands(df: pd.DataFrame) -> pd.DataFrame:
         # combiner over candidate rows (one per block × group): winner
@@ -330,21 +317,12 @@ def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.Da
                .merge(dc, on=keys))
         return out[cand_cols]
 
-    cand = _fold_partials(merged.map_batches(candidates,
-                                             batch_format="pandas"),
-                          combine_cands, batch_format="pandas").to_pandas()
-    if cand.empty:  # every value null: no mode/antimode rows at all
-        cand = pd.DataFrame({c: [] for c in cand_cols})
-    if not keys:
-        cand = cand.assign(__g=0)
-    kk = keys or ["__g"]
-    m = (cand.sort_values(["__mode_n", "__mode_v"], ascending=[False, True])
-             .drop_duplicates(subset=kk))
-    a = (cand.sort_values(["__anti_n", "__anti_v"], ascending=[True, True])
-             .drop_duplicates(subset=kk))
-    dc = cand.groupby(kk, sort=False, dropna=False)["__dc"].sum().reset_index()
-    out = m[kk].merge(dc, on=kk)
-    out = out.merge(m[kk + ["__mode_v"]], on=kk).merge(a[kk + ["__anti_v"]], on=kk)
+    cand = merge_partials(merged.map_batches(candidates, batch_format="pandas"),
+                          combine_cands, batch_format="pandas")
+    # the driver's combine_cands leaves ONE row per group; every value
+    # null leaves no candidate, so no mode/antimode rows at all
+    out = combine_cands(cand) if len(cand) else \
+        pd.DataFrame({c: [] for c in cand_cols})
     res = out[keys].copy() if keys else pd.DataFrame(index=out.index)
     if "distinct_count" in modes:
         res[f"{field}_distinct_count"] = out["__dc"].to_numpy()
@@ -446,11 +424,10 @@ def top(ds, field: str, n: int = 1, group_by: list[str] | None = None,
             g = df.sort_values(field, ascending=smallest).head(n)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = ds.map_batches(per_block, batch_format="pyarrow")
-    # per_block is its own combiner (local top-k of top-ks is top-k):
-    # fold once distributed so the driver sees ≤ 64 × groups × n rows
-    pdf = _fold_partials(parts, per_block,
-                         batch_format="pyarrow").to_pandas()
+    # per_block is its own combiner (local top-k of top-ks is top-k);
+    # finalize below is the driver's last one
+    pdf = merge_partials(ds.map_batches(per_block, batch_format="pyarrow"),
+                         per_block).to_pandas()
     if pdf.empty:  # empty input loses its schema through to_pandas
         pdf = pd.DataFrame({c: pd.Series(dtype=object)
                             for c in group_by + [field]})
@@ -796,15 +773,12 @@ def sample(ds, k: int, seed: int = 42, group_by: list[str] | None = None) -> pd.
                 preserve_index=False)
         return pa.Table.from_pandas(df.nsmallest(k, "__pri"), preserve_index=False)
 
-    # local_topk is its own combiner: tree-fold before the driver
-    pdf = _fold_partials(parts.map_batches(local_topk,
-                                           batch_format="pyarrow"),
-                         local_topk, batch_format="pyarrow").to_pandas()
-    if group_by:
-        pdf = pdf.sort_values("__pri").groupby(group_by, sort=False).head(k)
-    else:
-        pdf = pdf.nsmallest(k, "__pri")
-    return pdf.drop(columns="__pri").reset_index(drop=True)
+    # local_topk is its own combiner (top-k by priority of top-ks), the
+    # driver's last one included; an empty input has no rows to sample
+    left = merge_partials(parts.map_batches(local_topk, batch_format="pyarrow"),
+                          local_topk)
+    pdf = (local_topk(left) if left.num_rows else left).to_pandas()
+    return pdf.drop(columns="__pri", errors="ignore").reset_index(drop=True)
 
 
 def decimate(ds, n: int = 10):

@@ -313,3 +313,31 @@ def test_kmeanspp_first_centroid_depends_on_seed():
     firsts = {int(np.argmax(ann._kmeanspp_init(sample, 1, seed)[0]))
               for seed in range(32)}
     assert len(firsts) > 1, firsts
+
+
+def _empty_vectors(rd):
+    import numpy as np
+
+    t = pa.table({"vec_id": pa.array([], type=pa.int64()),
+                  "embedding": pa.array([], type=pa.list_(pa.float64()))})
+    return rd.from_arrow(t), np.eye(2, 4)
+
+
+def _assert_no_hits(out):
+    assert list(out.columns) == ["query_id", "rank", "vec_id"]
+    assert len(out) == 0
+    assert [str(d) for d in out.dtypes] == ["int64", "int64", "int64"]
+
+
+def test_brute_force_topk_empty_dataset(rd):
+    from miller_ray.stages import ann
+
+    ds, queries = _empty_vectors(rd)
+    _assert_no_hits(ann.brute_force_topk(ds, queries, k=3))
+
+
+def test_ivf_topk_empty_dataset(rd):
+    from miller_ray.stages import ann
+
+    ds, queries = _empty_vectors(rd)
+    _assert_no_hits(ann.ivf_topk(ds, queries, k=3, centroids=queries))

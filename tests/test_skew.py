@@ -77,3 +77,21 @@ def test_distributed_grouped_merge_equals_driver_fold(skewed_ds):
         return {s: h.estimate() for s, h in zip(out["source"], out["h"])}
 
     assert estimates(dist) == estimates(fold)
+
+
+def test_hot_source_partials_spread_over_salts(skewed_ds):
+    """The salt is hashed from each partial's first blob, so the hot
+    source's per-block partials land on many salts, not one reducer."""
+    from miller_ray.engine.udaf import _grouped_partial_fn
+
+    _, t = skewed_ds
+    n_salts, n_blocks = 16, 64
+    specs = [SketchSpec.column("hll_doc_id", lambda: HyperLogLog(p=14), "doc_id"),
+             SketchSpec.column("kll_n_tok", lambda: KLL(k=200), "n_tok")]
+    build = _grouped_partial_fn(["source"], specs, n_salts)
+    per = -(-t.num_rows // n_blocks)
+    salts = set()
+    for i in range(0, t.num_rows, per):
+        part = build(t.slice(i, per)).to_pandas()
+        salts.update(part.loc[part["source"] == HOT_SOURCE, "__salt"])
+    assert len(salts) >= n_salts // 2, sorted(salts)
