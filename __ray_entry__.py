@@ -1,6 +1,6 @@
 """Driver contract for the graft builder (Ray Data target).
 
-``entry()`` runs the flagship one-pass 7-sketch build over the
+``entry()`` runs the flagship one-pass 6-sketch build over the
 north-rule tokens table at sf0.001 scale. ``queries()`` exposes one
 callable per implemented operator/pipeline from SURVEY.md §2 (and the
 training-data extensions); ``oracle_sql()`` gives the DuckDB-equivalent
@@ -1321,7 +1321,7 @@ def q_multimodal_real_decode(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def entry() -> Any:
-    """Flagship: one-pass 7-sketch build over the sf0.001 tokens table."""
+    """Flagship: one-pass 6-sketch build over the sf0.001 tokens table."""
     return q_sketch_flagship("/root/testdata/sf0.001")
 
 

@@ -76,7 +76,7 @@ def _bench_queries(sf_dir: str) -> dict[str, callable]:
 
     q = E.queries()
     names = [
-        "sketch_flagship",      # north rule: one-pass 7-sketch build
+        "sketch_flagship",      # north rule: one-pass 6-sketch build
         "sketch_grouped",       # per-source salted two-level merge
         "stats1_moments",
         "stats1_percentiles",

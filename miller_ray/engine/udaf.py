@@ -58,8 +58,8 @@ class SketchSpec:
                update: Callable[[Any, pa.Table, dict], None]) -> "SketchSpec":
         """Spec with a custom per-batch update hook ``update(sketch,
         batch, cache)`` — lets several sketches share one pass over the
-        data via the per-batch cache (e.g. one token bincount feeding
-        both CMS heavy-hitters and the value histogram)."""
+        data via the per-batch cache (e.g. one doc_id hash pass feeding
+        both the HyperLogLog and the Bloom filter)."""
         return SketchSpec(name, factory, lambda t, cache=None: None, update)
 
     @staticmethod

@@ -1,11 +1,13 @@
 """The north-rule flagship: one streaming pass over a tokens table
-(doc_id, tokens: list<int32>, n_tok, source) building ALL five sketches
-as mergeable UDAFs, plus grouped (per-source) variants with salted
-merge.
+(doc_id, tokens: list<int32>, n_tok, source) building six mergeable
+sketch UDAFs, plus grouped (per-source) variants with salted merge.
 
-Answers, approximately, what Miller answers exactly:
+Answers what Miller answers exactly, approximately where the domain is
+unbounded:
 - HLL(doc_id), HLL per source    <-> ``mlr count-distinct -f doc_id``
-- CMS+heap over flattened tokens <-> ``mlr most-frequent`` / ``top`` by count
+- exact token histogram          <-> ``mlr most-frequent`` / ``top`` by
+  count (exact top-k: token ids are bounded, so no Count-Min is needed)
+  and ``mlr stats1 -a p50,p90,p99`` over token values
 - KLL / t-digest over n_tok      <-> ``mlr stats1 -a p50,p90,p99 -f n_tok``
 - Bloom(doc_id)                  <-> membership pruning for dedup/semi-join
 """
@@ -20,8 +22,7 @@ import ray.data as rd
 
 from miller_ray.engine.udaf import SketchSpec, build_grouped_sketches, build_sketches
 from miller_ray.schema import sf_to_tokens_rows, tokens_parquet_path
-from miller_ray.sketches import (BloomFilter, BoundedIntHist, HeavyHitters,
-                                 HyperLogLog, KLL, TDigest)
+from miller_ray.sketches import BloomFilter, BoundedIntHist, HyperLogLog, KLL, TDigest
 from miller_ray.schema import VOCAB_SIZE
 
 
@@ -67,8 +68,8 @@ def _token_counts(t, cache) -> np.ndarray:
     """ONE bincount pass over the batch's flattened tokens, shared via
     the per-batch cache by every token-frequency sketch. Token ids are
     bounded ([0, vocab)), so this dense count vector is a sufficient
-    statistic for CMS heavy-hitters AND value quantiles — the token
-    stream is scanned exactly once per batch."""
+    statistic for the exact histogram's top-k AND value quantiles — the
+    token stream is scanned exactly once per batch."""
     key = ("bincount", "tokens")
     if key not in cache:
         from miller_ray.sketches.base import bincount_chunked
@@ -104,20 +105,18 @@ def _doc_id_hashes(t: pa.Table, cache: dict) -> np.ndarray:
     return cache[key]
 
 
-def default_specs(hll_p: int = 14, hh_k: int = 50, kll_k: int = 200,
+def default_specs(hll_p: int = 14, kll_k: int = 200,
                   td_compression: float = 200.0, bloom_capacity: int = 1_000_000):
     return [
         SketchSpec.custom("hll_doc_id", lambda: HyperLogLog(p=hll_p),
                           lambda sk, t, cache: sk.update_hashes(_doc_id_hashes(t, cache))),
         SketchSpec.column("hll_source", lambda: HyperLogLog(p=hll_p), "source"),
-        SketchSpec.custom("hh_tokens",
-                          lambda: HeavyHitters(k=hh_k, eps=1e-4, delta=1e-3),
-                          lambda sk, t, cache: sk.update_from_counts(_token_counts(t, cache))),
         SketchSpec.column("kll_n_tok", lambda: KLL(k=kll_k), "n_tok"),
         SketchSpec.column("td_n_tok", lambda: TDigest(td_compression), "n_tok"),
         # token VALUES live in [0, vocab): the exact bounded-int histogram
-        # replaces a KLL here — it rides the shared bincount instead of
-        # an O(n log n) sort, the flagship's bandwidth hot spot
+        # replaces a KLL for quantiles and a Count-Min + heap for top-k —
+        # it rides the shared bincount instead of an O(n log n) sort, the
+        # flagship's bandwidth hot spot
         SketchSpec.custom("hist_token_values",
                           lambda: BoundedIntHist(domain=VOCAB_SIZE),
                           lambda sk, t, cache: sk.update_counts(_token_counts(t, cache))),
@@ -128,8 +127,14 @@ def default_specs(hll_p: int = 14, hh_k: int = 50, kll_k: int = 200,
 
 
 def sketch_build(ds, specs=None) -> dict:
-    """ONE pass over ds building every sketch; returns {name: sketch}."""
-    return build_sketches(ds, specs or default_specs())
+    """ONE pass over ds building every sketch; returns {name: sketch}.
+
+    The token histogram is exact, so it also answers the heavy-hitter
+    question: the same object is returned as ``hh_tokens``."""
+    sk = build_sketches(ds, specs or default_specs())
+    if "hist_token_values" in sk:
+        sk.setdefault("hh_tokens", sk["hist_token_values"])
+    return sk
 
 
 def sketch_summary(ds) -> pd.DataFrame:

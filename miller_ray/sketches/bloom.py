@@ -101,6 +101,6 @@ class BloomFilter:
     def from_bytes(cls, data: bytes) -> "BloomFilter":
         scalars, arrays = unpack_arrays(data, _TAG)
         obj = cls(m=int(scalars[0]), k=int(scalars[1]), seed=int(scalars[3]))
-        obj.bits = arrays[0].astype(np.uint8)
+        obj.bits = arrays[0].astype(np.uint8, copy=False)
         obj.n_added = int(scalars[2])
         return obj

@@ -170,17 +170,6 @@ class HeavyHitters:
         self._fold_candidates(uniq, cnt)
         self._truncate()
 
-    def update_from_counts(self, counts: np.ndarray) -> None:
-        """Ingest a precomputed dense count vector (index = value) — lets
-        several sketches share ONE bincount pass over a token stream."""
-        uniq = np.flatnonzero(counts).astype(np.int64)
-        if uniq.size == 0:
-            return
-        cnt = counts[uniq].astype(np.int64)
-        self.cms.update_batch(uniq, weights=cnt)
-        self._fold_candidates(uniq, cnt)
-        self._truncate()
-
     def _fold_candidates(self, uniq: np.ndarray, cnt: np.ndarray) -> None:
         # fold into the running candidate map
         allv = np.concatenate([self.cand_values, uniq])

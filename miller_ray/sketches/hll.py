@@ -71,17 +71,7 @@ class HyperLogLog:
 
     # -- updates ---------------------------------------------------------
     def update_batch(self, values) -> None:
-        h = hash64(values, seed=self.seed)
-        if h.size == 0:
-            return
-        idx = (h >> np.uint64(self.q)).astype(np.int64)
-        rem = h & np.uint64((1 << self.q) - 1)
-        # rho = q - bit_length(rem) + 1; rem==0 -> q+1. bit_length via frexp
-        # (exact for q<=50 bits in float64; q=50 at default p=14).
-        _, exp = np.frexp(rem.astype(np.float64))
-        rho = (self.q - exp + 1).astype(np.uint8)
-        rho[rem == 0] = self.q + 1
-        np.maximum.at(self.registers, idx, rho)
+        self.update_hashes(hash64(values, seed=self.seed))
 
     def update_hashes(self, h: np.ndarray) -> None:
         """Update from pre-computed uint64 hashes (for shared-hash pipelines)."""
@@ -89,6 +79,8 @@ class HyperLogLog:
             return
         idx = (h >> np.uint64(self.q)).astype(np.int64)
         rem = h & np.uint64((1 << self.q) - 1)
+        # rho = q - bit_length(rem) + 1; rem==0 -> q+1. bit_length via frexp
+        # (exact for q<=50 bits in float64; q=50 at default p=14).
         _, exp = np.frexp(rem.astype(np.float64))
         rho = (self.q - exp + 1).astype(np.uint8)
         rho[rem == 0] = self.q + 1
@@ -123,5 +115,5 @@ class HyperLogLog:
     def from_bytes(cls, data: bytes) -> "HyperLogLog":
         scalars, arrays = unpack_arrays(data, _TAG)
         obj = cls(p=int(scalars[0]), seed=int(scalars[1]))
-        obj.registers = arrays[0].astype(np.uint8)
+        obj.registers = arrays[0].astype(np.uint8, copy=False)
         return obj

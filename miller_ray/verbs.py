@@ -425,32 +425,29 @@ def top(ds, field: str, n: int = 1, group_by: list[str] | None = None,
         return pa.Table.from_pandas(g, preserve_index=False)
 
     # per_block is its own combiner (local top-k of top-ks is top-k);
-    # finalize below is the driver's last one
+    # the sort below is the driver's last one
     pdf = merge_partials(ds.map_batches(per_block, batch_format="pyarrow"),
                          per_block).to_pandas()
     if pdf.empty:  # empty input loses its schema through to_pandas
         pdf = pd.DataFrame({c: pd.Series(dtype=object)
                             for c in group_by + [field]})
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        sel = df.sort_values(field, ascending=smallest).head(n)
-        out = pd.DataFrame({
-            **{k: sel[k].to_numpy() for k in group_by},
-            "top_idx": np.arange(1, len(sel) + 1, dtype=np.int64),
-            f"{field}_top": sel[field].to_numpy(),
-        })
-        return out
-
+    # stable: equal values keep their partial order; groups come out in
+    # first-seen order, each with its best n rows in order
+    srt = pdf.sort_values(field, ascending=smallest, kind="stable")
     if group_by:
-        if pdf.empty:  # groupby.apply on an empty frame drops columns
-            return pd.DataFrame({**{k: pd.Series(dtype=object)
-                                    for k in group_by},
-                                 "top_idx": pd.Series(dtype=np.int64),
-                                 f"{field}_top": pd.Series(dtype=object)})
-        return (pdf.groupby(group_by, sort=False, as_index=False)
-                   .apply(finalize, include_groups=True)
-                   .reset_index(drop=True)[group_by + ["top_idx", f"{field}_top"]])
-    return finalize(pdf)
+        first_seen = pdf.groupby(group_by, sort=False).ngroup()
+        srt = srt.iloc[np.argsort(first_seen[srt.index].to_numpy(), kind="stable")]
+        sel = srt.groupby(group_by, sort=False).head(n)
+        top_idx = sel.groupby(group_by, sort=False).cumcount().to_numpy() + 1
+    else:
+        sel = srt.head(n)
+        top_idx = np.arange(1, len(sel) + 1)
+    return pd.DataFrame({
+        **{k: sel[k].to_numpy() for k in group_by},
+        "top_idx": top_idx.astype(np.int64),
+        f"{field}_top": sel[field].to_numpy(),
+    })
 
 
 def most_frequent(ds, fields: list[str], n: int = 1, descending: bool = True,

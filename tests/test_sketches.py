@@ -6,6 +6,7 @@ import pytest
 from miller_ray.hashing import hash64, hash_pair
 from miller_ray.sketches import (
     BloomFilter,
+    BoundedIntHist,
     CountMinSketch,
     HeavyHitters,
     HyperLogLog,
@@ -116,6 +117,29 @@ def test_heavy_hitters_top():
     rt = HeavyHitters.from_bytes(merged.to_bytes())
     tv, tc = rt.top(10)
     assert np.array_equal(tv, top_vals) and np.array_equal(tc, top_counts)
+
+
+def test_bounded_int_hist_top_matches_exact_counts():
+    # 40 values, many sharing a count: the value-ascending tie-break
+    # decides which of the tied ones make the cut
+    rng = np.random.default_rng(11)
+    vals = np.repeat(rng.permutation(1000)[:40], rng.integers(1, 5, 40))
+    rng.shuffle(vals)
+    h = BoundedIntHist(domain=1000)
+    for part in np.array_split(vals, 3):
+        p = BoundedIntHist(domain=1000)
+        p.update_batch(part)
+        h.merge(BoundedIntHist.from_bytes(p.to_bytes()))
+    u, c = np.unique(vals, return_counts=True)
+    order = np.lexsort((u, -c))
+    assert len(set(c[order[:10]])) < 10  # ties inside the top 10
+    for k in (1, 10, 40, 100):
+        tv, tc = h.top(k)
+        assert tv.tolist() == u[order[:k]].tolist()
+        assert tc.tolist() == c[order[:k]].tolist()
+    assert h.eps == 0.0
+    ev, ec = BoundedIntHist(domain=1000).top(10)
+    assert ev.size == 0 and ec.size == 0
 
 
 # ---------------------------------------------------------------- KLL

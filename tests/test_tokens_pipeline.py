@@ -60,11 +60,26 @@ def test_flagship_accuracy_vs_exact(ray_session, sf001):
     n_total = int(c.sum())
     for v, est_c in zip(tv.tolist(), tc.tolist()):
         assert est_c >= exact_counts[v]
-        assert est_c - exact_counts[v] <= sk["hh_tokens"].cms.eps * n_total
+        assert est_c - exact_counts[v] <= sk["hh_tokens"].eps * n_total
 
     # Bloom: zero false negatives over every inserted doc_id
     contained = sk["bloom_doc_id"].contains_batch(ref["doc_id"])
     assert bool(np.asarray(contained).all())
+
+
+def test_flagship_top_tokens_are_exact(ray_session, sf001):
+    """The ten hh_tokens rows are the exact top-10 token counts,
+    count-desc then token-asc."""
+    n = sf_to_tokens_rows(sf001)
+    ref = pq.read_table(tokens_parquet_path(n))
+    toks = pa.concat_arrays([c.flatten() for c in ref["tokens"].chunks])
+    u, c = np.unique(np.asarray(toks), return_counts=True)
+    order = np.lexsort((u, -c))[:10]
+    df = T.sketch_summary(T.read_tokens(sf001))
+    hh = df[df["sketch"] == "hh_tokens"]
+    assert hh["stat"].tolist() == [f"top{i}_token_{v}"
+                                   for i, v in enumerate(u[order].tolist(), 1)]
+    assert hh["value"].tolist() == c[order].astype(float).tolist()
 
 
 def test_grouped_sketches_per_source(ray_session, sf001):

@@ -80,6 +80,19 @@ def test_top_ties_deterministic(rd):
     assert a["v_top"].tolist() == [5.0, 5.0]
 
 
+def test_top_grouped_raises_no_deprecation_warning(rd):
+    import warnings
+
+    t = pa.table({"g": ["a", "b", "a", "b", "a", None],
+                  "v": [1.0, 7.0, 3.0, 5.0, 3.0, 9.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        out = verbs.top(rd.from_arrow(t), "v", n=2, group_by=["g"])
+    out = out.sort_values(["g", "top_idx"]).reset_index(drop=True)
+    assert out.to_dict("list") == {"g": ["a", "a", "b", "b"], "top_idx": [1, 2, 1, 2],
+                                   "v_top": [3.0, 3.0, 7.0, 5.0]}
+
+
 def test_histogram_edges(rd):
     # x == hi joins last bin; outside [lo, hi] dropped (histogram.go)
     t = pa.table({"x": [0.0, 4.999, 5.0, 10.0, -0.1, 10.1]})
