@@ -32,7 +32,7 @@ from typing import Any
 
 import pyarrow as pa
 
-from miller_ray.engine.udaf import SketchSpec, _merge_fn
+from miller_ray.engine.udaf import SketchSpec, _merge_fn, bind_aliases, built_specs
 
 
 def _sha256(b: bytes) -> str:
@@ -130,18 +130,19 @@ def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
     os.makedirs(ckpt_dir, exist_ok=True)
     done = load_manifest(ckpt_dir)
     pending = [p for p in input_paths if p not in done]
+    built = built_specs(specs)
 
     if pending:
         ds = rd.read_parquet(pending, include_paths=True)
-        parts = ds.map_batches(_partial_fn_by_path(specs), batch_format="pyarrow",
+        parts = ds.map_batches(_partial_fn_by_path(built), batch_format="pyarrow",
                                zero_copy_batch=True, batch_size=batch_size)
-        merge = _merge_fn(specs)
+        merge = _merge_fn(built)
 
         def merge_path(t: pa.Table) -> pa.Table:
-            merged = merge(t.select([s.name for s in specs]))
+            merged = merge(t.select([s.name for s in built]))
             cols = {"path": [t["path"][0].as_py()],
                     "rows": [int(pa.compute.sum(t["rows"]).as_py())]}
-            for s in specs:
+            for s in built:
                 cols[s.name] = merged[s.name]
             return pa.table(cols)
 
@@ -152,7 +153,7 @@ def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
         entries = []
         for row in finished:
             blobs, hashes = {}, {}
-            for s in specs:
+            for s in built:
                 blob = row[s.name]
                 digest = _sha256(blob)
                 fname = f"{digest[:24]}.{s.name}.bin"
@@ -172,7 +173,7 @@ def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
 
     # final driver-side fold over per-partition blobs (KB each)
     out: dict[str, Any] = {}
-    for spec in specs:
+    for spec in built:
         cls = type(spec.factory())
         acc = None
         for p in input_paths:
@@ -183,7 +184,7 @@ def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
                 sk = cls.from_bytes(f.read())
             acc = sk if acc is None else acc.merge(sk)
         out[spec.name] = acc if acc is not None else spec.factory()
-    return out
+    return bind_aliases(specs, out)
 
 
 def lineage_report(ckpt_dir: str) -> list[dict]:

@@ -52,6 +52,8 @@ class SketchSpec:
     factory: Callable[[], Any]
     extract: Callable[[pa.Table], Any]
     update: Callable[[Any, pa.Table, dict], None] | None = None
+    # name of the spec whose merged sketch this one returns (see alias)
+    alias_of: str | None = None
 
     @staticmethod
     def custom(name: str, factory: Callable[[], Any],
@@ -61,6 +63,14 @@ class SketchSpec:
         data via the per-batch cache (e.g. one doc_id hash pass feeding
         both the HyperLogLog and the Bloom filter)."""
         return SketchSpec(name, factory, lambda t, cache=None: None, update)
+
+    @staticmethod
+    def alias(name: str, of: str) -> "SketchSpec":
+        """A second name for spec ``of``'s merged sketch, for a question
+        that sketch already answers (the exact token histogram's top-k).
+        The builders build nothing for it and return ``of``'s object."""
+        return SketchSpec(name, EmptyPartial, lambda t, cache=None: None,
+                          lambda sk, t, cache: None, of)
 
     @staticmethod
     def column(name: str, factory: Callable[[], Any], col: str) -> "SketchSpec":
@@ -90,6 +100,35 @@ class SketchSpec:
             return out
 
         return SketchSpec(name, factory, ex)
+
+
+class EmptyPartial:
+    """An alias spec's sketch: it holds nothing, so building, packing
+    and merging one costs nothing."""
+
+    def to_bytes(self) -> bytes:
+        return b""
+
+    @classmethod
+    def from_bytes(cls, b: bytes) -> "EmptyPartial":
+        return cls()
+
+    def merge(self, other: "EmptyPartial") -> "EmptyPartial":
+        return self
+
+
+def built_specs(specs: list[SketchSpec]) -> list[SketchSpec]:
+    """The specs a builder builds: all but the aliases."""
+    return [s for s in specs if s.alias_of is None]
+
+
+def bind_aliases(specs: list[SketchSpec], out):
+    """Set each alias spec's entry of ``out`` (a dict, or a frame with a
+    column per spec) to its target's merged sketch; returns ``out``."""
+    for s in specs:
+        if s.alias_of is not None:
+            out[s.name] = out[s.alias_of]
+    return out
 
 
 def apply_spec(sk, spec: "SketchSpec", t: pa.Table, cache: dict) -> None:
@@ -147,15 +186,17 @@ def _merge_fn(specs: list[SketchSpec]):
 def build_sketches(ds, specs: list[SketchSpec],
                    batch_size: int | None = None) -> dict[str, Any]:
     """Build all specs in ONE pass over ds; returns {name: merged sketch}."""
-    parts = ds.map_batches(_partial_fn(specs), batch_format="pyarrow",
+    built = built_specs(specs)
+    parts = ds.map_batches(_partial_fn(built), batch_format="pyarrow",
                            zero_copy_batch=True, batch_size=batch_size)
-    left = merge_partials(parts, _merge_fn(specs))
+    left = merge_partials(parts, _merge_fn(built))
     if not left.num_rows:  # empty input -> fresh (zero) sketches
-        return {spec.name: spec.factory() for spec in specs}
+        return bind_aliases(specs, {spec.name: spec.factory() for spec in built})
     # the driver's fold keeps the merged sketches as objects: packing
     # them, as _merge_fn does, would only be undone here
-    return {spec.name: merge_blobs(type(spec.factory()), left[spec.name].to_pylist())
-            for spec in specs}
+    return bind_aliases(specs, {
+        spec.name: merge_blobs(type(spec.factory()), left[spec.name].to_pylist())
+        for spec in built})
 
 
 def _grouped_partial_fn(group_by: list[str], specs: list[SketchSpec],
@@ -212,10 +253,11 @@ def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
     final per-group merge, so a hot group does not serialize on one
     reducer (SURVEY.md §4 skew row).
     """
-    parts = ds.map_batches(_grouped_partial_fn(group_by, specs, n_salts),
+    built = built_specs(specs)
+    parts = ds.map_batches(_grouped_partial_fn(group_by, built, n_salts),
                            batch_format="pyarrow", zero_copy_batch=True,
                            batch_size=batch_size).materialize()
-    classes = {s.name: type(s.factory()) for s in specs}
+    classes = {s.name: type(s.factory()) for s in built}
 
     # Small fan-in: fold the KB-sized partials on the driver — two Ray
     # shuffle stages on a few hundred blob rows is pure fixed overhead.
@@ -233,15 +275,15 @@ def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
             for name, cls in classes.items():
                 row[name] = merge_blobs(cls, grp[name].tolist())
             rows.append(row)
-        return pd.DataFrame(rows)
+        return bind_aliases(specs, pd.DataFrame(rows, columns=[*group_by, *classes]))
 
     # level 1: (key, salt) -> level 2: key; each group is one pyarrow
     # table merged to one row by the same combiner as the global build
-    merge = _merge_fn(specs)
+    merge = _merge_fn(built)
     lvl1 = parts.groupby(group_by + ["__salt"]).map_groups(
         merge, batch_format="pyarrow").drop_columns(["__salt"])
     pdf = lvl1.groupby(group_by).map_groups(
         merge, batch_format="pyarrow").to_pandas()
     for name, cls in classes.items():
         pdf[name] = pdf[name].map(cls.from_bytes)
-    return pdf.reset_index(drop=True)
+    return bind_aliases(specs, pdf.reset_index(drop=True))

@@ -6,8 +6,9 @@ Answers what Miller answers exactly, approximately where the domain is
 unbounded:
 - HLL(doc_id), HLL per source    <-> ``mlr count-distinct -f doc_id``
 - exact token histogram          <-> ``mlr most-frequent`` / ``top`` by
-  count (exact top-k: token ids are bounded, so no Count-Min is needed)
-  and ``mlr stats1 -a p50,p90,p99`` over token values
+  count (exact top-k, also returned as ``hh_tokens``: token ids are
+  bounded, so no Count-Min is needed) and ``mlr stats1 -a p50,p90,p99``
+  over token values
 - KLL / t-digest over n_tok      <-> ``mlr stats1 -a p50,p90,p99 -f n_tok``
 - Bloom(doc_id)                  <-> membership pruning for dedup/semi-join
 """
@@ -111,12 +112,14 @@ def default_specs(hll_p: int = 14, kll_k: int = 200,
         SketchSpec.custom("hll_doc_id", lambda: HyperLogLog(p=hll_p),
                           lambda sk, t, cache: sk.update_hashes(_doc_id_hashes(t, cache))),
         SketchSpec.column("hll_source", lambda: HyperLogLog(p=hll_p), "source"),
+        # token ids are bounded, so the exact histogram's top-k answers
+        # the heavy-hitter question
+        SketchSpec.alias("hh_tokens", "hist_token_values"),
         SketchSpec.column("kll_n_tok", lambda: KLL(k=kll_k), "n_tok"),
         SketchSpec.column("td_n_tok", lambda: TDigest(td_compression), "n_tok"),
         # token VALUES live in [0, vocab): the exact bounded-int histogram
-        # replaces a KLL for quantiles and a Count-Min + heap for top-k —
-        # it rides the shared bincount instead of an O(n log n) sort, the
-        # flagship's bandwidth hot spot
+        # replaces a KLL for quantiles — it rides the shared bincount
+        # instead of an O(n log n) sort, the flagship's bandwidth hot spot
         SketchSpec.custom("hist_token_values",
                           lambda: BoundedIntHist(domain=VOCAB_SIZE),
                           lambda sk, t, cache: sk.update_counts(_token_counts(t, cache))),
@@ -128,13 +131,8 @@ def default_specs(hll_p: int = 14, kll_k: int = 200,
 
 def sketch_build(ds, specs=None) -> dict:
     """ONE pass over ds building every sketch; returns {name: sketch}.
-
-    The token histogram is exact, so it also answers the heavy-hitter
-    question: the same object is returned as ``hh_tokens``."""
-    sk = build_sketches(ds, specs or default_specs())
-    if "hist_token_values" in sk:
-        sk.setdefault("hh_tokens", sk["hist_token_values"])
-    return sk
+    ``hh_tokens`` is the merged ``hist_token_values`` object."""
+    return build_sketches(ds, specs or default_specs())
 
 
 def sketch_summary(ds) -> pd.DataFrame:

@@ -432,16 +432,15 @@ def top(ds, field: str, n: int = 1, group_by: list[str] | None = None,
         pdf = pd.DataFrame({c: pd.Series(dtype=object)
                             for c in group_by + [field]})
 
-    # stable: equal values keep their partial order; groups come out in
-    # first-seen order, each with its best n rows in order
-    srt = pdf.sort_values(field, ascending=smallest, kind="stable")
+    # one stable sort: equal values keep their partial order; groups come
+    # out in first-seen order, each with its best n rows in order
     if group_by:
-        first_seen = pdf.groupby(group_by, sort=False).ngroup()
-        srt = srt.iloc[np.argsort(first_seen[srt.index].to_numpy(), kind="stable")]
+        srt = pdf.assign(__g=pdf.groupby(group_by, sort=False).ngroup()).sort_values(
+            ["__g", field], ascending=[True, smallest], kind="stable")
         sel = srt.groupby(group_by, sort=False).head(n)
         top_idx = sel.groupby(group_by, sort=False).cumcount().to_numpy() + 1
     else:
-        sel = srt.head(n)
+        sel = pdf.sort_values(field, ascending=smallest, kind="stable").head(n)
         top_idx = np.arange(1, len(sel) + 1)
     return pd.DataFrame({
         **{k: sel[k].to_numpy() for k in group_by},

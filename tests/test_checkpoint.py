@@ -57,6 +57,21 @@ def test_resume_equals_single_run(ray_session, token_files, tmp_path):
     assert all(e["rows"] == 1500 for e in rep)
 
 
+def test_alias_spec_writes_no_blob(ray_session, token_files, tmp_path):
+    """An alias spec gets no blob file or manifest entry; cold build and
+    resume both return its target's sketch under the alias."""
+    specs = _specs() + [SketchSpec.alias("n_docs", "hll_doc_id")]
+    ck = str(tmp_path / "c")
+    cold = checkpointed_build(token_files, specs, ck)
+    assert cold["n_docs"] is cold["hll_doc_id"]
+    assert not [f for f in os.listdir(ck) if ".n_docs." in f]
+    assert all(set(e["blobs"]) == {"hll_doc_id", "kll_n_tok"}
+               for e in load_manifest(ck).values())
+    resumed = checkpointed_build(token_files, specs, ck)
+    assert resumed["n_docs"] is resumed["hll_doc_id"]
+    assert resumed["n_docs"].to_bytes() == cold["n_docs"].to_bytes()
+
+
 def test_corrupt_blob_is_rebuilt(ray_session, token_files, tmp_path):
     ck = str(tmp_path / "c")
     first = checkpointed_build(token_files, _specs(), ck)

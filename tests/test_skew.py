@@ -95,3 +95,12 @@ def test_hot_source_partials_spread_over_salts(skewed_ds):
         part = build(t.slice(i, per)).to_pandas()
         salts.update(part.loc[part["source"] == HOT_SOURCE, "__salt"])
     assert len(salts) >= n_salts // 2, sorted(salts)
+
+
+def test_grouped_alias_spec_returns_its_target(skewed_ds):
+    ds, _ = skewed_ds
+    specs = [SketchSpec.column("h", lambda: HyperLogLog(p=10), "doc_id"),
+             SketchSpec.alias("h2", "h")]
+    out = build_grouped_sketches(ds, ["source"], specs, n_salts=4)
+    assert list(out.columns) == ["source", "h", "h2"]
+    assert all(a is b for a, b in zip(out["h"], out["h2"]))

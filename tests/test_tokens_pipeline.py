@@ -82,6 +82,27 @@ def test_flagship_top_tokens_are_exact(ray_session, sf001):
     assert hh["value"].tolist() == c[order].astype(float).tolist()
 
 
+def test_hh_tokens_is_the_token_histogram(ray_session, sf001):
+    """hh_tokens is an alias spec: the builders build and ship only the
+    histogram and return that one object under both names, on empty
+    input too."""
+    import ray.data as rd
+
+    from miller_ray.engine.udaf import build_sketches, built_specs
+
+    specs = T.default_specs()
+    assert [s.name for s in specs] == ["hll_doc_id", "hll_source", "hh_tokens", "kll_n_tok",
+                                       "td_n_tok", "hist_token_values", "bloom_doc_id"]
+    assert "hh_tokens" not in [s.name for s in built_specs(specs)]
+    sk = T.sketch_build(T.read_tokens(sf001))
+    assert sk["hh_tokens"] is sk["hist_token_values"]
+    n = sf_to_tokens_rows(sf001)
+    empty = rd.from_arrow(pq.read_table(tokens_parquet_path(n)).slice(0, 0))
+    sk = build_sketches(empty, specs)
+    assert sk["hh_tokens"] is sk["hist_token_values"]
+    assert sk["hh_tokens"].top(10)[0].size == 0
+
+
 def test_grouped_sketches_per_source(ray_session, sf001):
     n = sf_to_tokens_rows(sf001)
     ref = pq.read_table(tokens_parquet_path(n)).to_pandas()
