@@ -1,10 +1,10 @@
-"""Grouped aggregation: partial pre-aggregation inside map_batches, then a
-small shuffle over per-(block, group) partials.
+"""Grouped aggregation: partial pre-aggregation inside map_batches, then
+``engine.merge.merge_keyed`` over the per-(block, group) partials.
 
 This is the scale-critical path (SURVEY.md §4): a bare
 ``ds.groupby(k).aggregate(...)`` shuffles every row; here each block is
 reduced to one row per group first (pyarrow ``Table.group_by`` — zero-copy
-Arrow in, vectorized kernels), so the exchange moves ``O(blocks x groups)``
+Arrow in, vectorized kernels), so the merge moves ``O(blocks x groups)``
 rows regardless of input size. Skewed keys are absorbed at the partial
 stage: a key holding 90% of rows still contributes exactly one partial row
 per block.
@@ -23,6 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from miller_ray.engine import exact
+from miller_ray.engine.merge import aggregate_by, merge_keyed
 
 _DUMMY = "__g"
 
@@ -106,17 +107,6 @@ def _partial_builder(group_by: list[str], fields: list[str], moments: dict[str, 
     return partial
 
 
-def _ray_agg_for(colname: str):
-    from ray.data.aggregate import Max, Min, Sum
-
-    if colname.endswith("_min"):
-        return Min(colname, alias_name=colname)
-    if colname.endswith("_max"):
-        return Max(colname, alias_name=colname)
-    # counts and sums both merge by summation
-    return Sum(colname, alias_name=colname)
-
-
 def grouped_stats(ds, group_by: list[str], fields: list[str], accs: list[str]) -> pd.DataFrame:
     """Miller stats1 moment accumulators, grouped. Output columns:
     group_by + [f"{field}_{acc}"] in the requested order.
@@ -135,7 +125,7 @@ def grouped_stats(ds, group_by: list[str], fields: list[str], accs: list[str]) -
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    # merge partials: small shuffle (one row per block per group)
+    # merge partials (one row per block per group) by key
     agg_cols: list[str] = []
     for f in fields:
         need = moments[f]
@@ -149,24 +139,14 @@ def grouped_stats(ds, group_by: list[str], fields: list[str], accs: list[str]) -
             if src not in agg_cols:
                 agg_cols.append(src)
     agg_cols.append("count_all")
-    # partials are O(blocks x groups): fold small fan-in on the driver
-    # (a Ray shuffle on a few hundred rows is pure fixed overhead); the
-    # distributed merge below is the scale path for high-cardinality keys
-    parts = parts.materialize()
-    if parts.count() == 0:  # empty input: keep the output schema
+    combine = aggregate_by(keys, {
+        c: "min" if c.endswith("_min") else "max" if c.endswith("_max")
+        else "sum" for c in agg_cols})
+    pdf = merge_keyed(parts, keys, combine).to_pandas()
+    if pdf.empty:  # empty input: keep the output schema
         cols = [k for k in keys if k != _DUMMY] + \
             [f"{f}_{a}" for f in fields for a in accs]
         return pd.DataFrame({c: [] for c in cols})
-    if parts.count() <= 100_000:
-        ppdf = parts.to_pandas()
-        spec = {}
-        for c in agg_cols:
-            spec[c] = "min" if c.endswith("_min") else (
-                "max" if c.endswith("_max") else "sum")
-        pdf = ppdf.groupby(keys, sort=False, dropna=False).agg(spec).reset_index()
-    else:
-        merged = parts.groupby(keys).aggregate(*[_ray_agg_for(c) for c in agg_cols])
-        pdf = merged.to_pandas()  # small: one row per group
 
     out = pdf[[k for k in keys if k != _DUMMY]].copy()
 

@@ -1,26 +1,35 @@
-"""Size-planned merge of per-block partials: the one fold behind every
-accumulating verb (``top``, ``sample``, ``stats1 -a mode,antimode,
-distinct_count``) and every global sketch build.
+"""Size-planned merges of per-block partials: the two folds behind every
+accumulating verb and every sketch build.
 
 A *partial* is what one block's map task emits: a local top-k frame, a
-row of sketch blobs, per-group mode candidates. ``combine`` reduces ANY
-subset of partials to a partial of the same shape (a local top-k of
-top-ks is a top-k; a merge of sketch merges is a sketch merge), so the
-merge tree may cut the partials anywhere.
+row of sketch blobs, per-group counts. ``combine`` is *closed*: it
+reduces ANY subset of partials to a partial of the same schema (a local
+top-k of top-ks is a top-k; a merge of sketch merges is a sketch
+merge), so a merge may cut the partials anywhere. Both folds plan from
+measurements, not from per-call flags (Approximate Distinct Counts for
+Billions of Datasets, SIGMOD 2019, plans its merges the same way).
 
-``merge_partials`` plans the tree from how many partials there are
-(Approximate Distinct Counts for Billions of Datasets, SIGMOD 2019,
-plans its merges the same way): while more than ``MERGE_FANIN`` remain
-it adds one combine level of ``ceil(n / MERGE_FANIN)`` tasks, then
-gathers the ≤ ``MERGE_FANIN`` combined partials left on the driver,
-where the caller applies its final reduce once (``combine`` itself, or
-the same fold without re-serializing, as ``build_sketches`` does). As
-far as the estimate holds, the driver thus folds at most
-``MERGE_FANIN`` partials whatever the input block count (1e6 blocks ->
-4 levels), and an input of ≤ ``MERGE_FANIN`` blocks pays no
-repartition at all. The levels are lazy: build, levels and the driver's
-gather run as ONE execution (a ``materialize()`` first would cost a
-second executor start on every call).
+- ``merge_partials``: partials bounded per block (one sketch row, nbins
+  histogram rows). It plans the tree from how many partials there are:
+  while more than ``MERGE_FANIN`` remain it adds one combine level of
+  ``ceil(n / MERGE_FANIN)`` tasks, then gathers the ≤ ``MERGE_FANIN``
+  combined partials left on the driver, where the caller applies its
+  final reduce once (``combine`` itself, or the same fold without
+  re-serializing, as ``build_sketches`` does). As far as the estimate
+  holds, the driver thus folds at most ``MERGE_FANIN`` partials
+  whatever the input block count (1e6 blocks -> 4 levels), and an input
+  of ≤ ``MERGE_FANIN`` blocks pays no repartition at all. The levels
+  are lazy: build, levels and the driver's gather run as ONE execution
+  (a ``materialize()`` first would cost a second executor start on
+  every call).
+- ``merge_keyed``: partials that carry group keys, whose count grows
+  with the number of groups. ``combine`` is also group-wise: a key's
+  output rows depend only on that key's input rows. The partials run
+  once; their measured bytes choose the branch. Up to
+  ``KEYED_FOLD_BYTES`` they are folded by one ``combine`` on the
+  driver. Above it they stay distributed: a salted two-level keyed
+  merge over O(buckets) tasks, where a hot key's partials first spread
+  over ``MERGE_FANIN`` salts.
 """
 
 from __future__ import annotations
@@ -28,12 +37,23 @@ from __future__ import annotations
 import logging
 from typing import Callable
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from miller_ray.hashing import hash64, splitmix64
 
 MERGE_FANIN = 16
+# measured partial bytes above which a keyed fold stays distributed. On
+# one CPU the driver fold beat the distributed merge at every size tried
+# (sums and sketch merges, 1-256 MiB), so this caps the driver's memory,
+# which peaks near 3x the partial bytes, rather than marking a crossover
+KEYED_FOLD_BYTES = 64 << 20
 
 log = logging.getLogger("miller_ray")
+
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def estimated_blocks(ds) -> int | None:
@@ -45,6 +65,19 @@ def estimated_blocks(ds) -> int | None:
     except AttributeError:  # plan API gone from this Ray version
         return None
     return n if n > 0 else None
+
+
+def block_refs(ds) -> tuple[list, int]:
+    """Run ``ds`` once, streaming, and return its block refs in block
+    order with the sum of their measured ``size_bytes``. The package's
+    one read of Ray's ``iter_internal_ref_bundles``; holding the refs
+    keeps the blocks alive without a ``materialize()``."""
+    refs, nbytes = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            refs.append(ref)
+            nbytes += meta.size_bytes or 0
+    return refs, nbytes
 
 
 def merge_partials(parts, combine: Callable, batch_format: str = "pyarrow"):
@@ -79,3 +112,122 @@ def merge_partials(parts, combine: Callable, batch_format: str = "pyarrow"):
         return pd.concat(batches, ignore_index=True) if batches else pd.DataFrame()
     return pa.concat_tables(batches, promote_options="permissive") \
         if batches else pa.table({})
+
+
+def key_hash(t: pa.Table, cols: list[str]) -> np.ndarray:
+    """A uint64 per row of ``t`` over columns ``cols``. Equal keys hash
+    equal whatever Arrow type a block gave them: numbers hash by their
+    float64 value (an int key is read as float in a pandas block with
+    nulls), and every null or NaN hashes alike (an all-null block types
+    its key column ``null``)."""
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for c in cols:
+        a = t[c].combine_chunks()
+        if pa.types.is_dictionary(a.type):
+            a = a.dictionary_decode()
+        if pa.types.is_null(a.type) or pa.types.is_boolean(a.type) or \
+                pa.types.is_integer(a.type) or pa.types.is_floating(a.type):
+            x = pc.cast(a, pa.float64(), safe=False).to_numpy(
+                zero_copy_only=False) + 0.0
+            hc, null = splitmix64(x.view(np.uint64)), np.isnan(x)
+        else:
+            hc = hash64(a)
+            null = pc.is_null(a).to_numpy(zero_copy_only=False)
+        hc[null] = _NULL_HASH
+        h = splitmix64(h ^ hc)
+    return h
+
+
+def row_salts(t: pa.Table) -> np.ndarray:
+    """Salt in [0, ``MERGE_FANIN``) per partial row, hashed from the
+    row's whole content: one hot key's partials from different blocks
+    differ, so they spread over the salts instead of one reducer."""
+    return (key_hash(t, t.column_names) % np.uint64(MERGE_FANIN)).astype(np.int64)
+
+
+def bucket_apply(ds, keys: list[str], fn: Callable,
+                 batch_format: str = "pyarrow"):
+    """Apply the group-wise ``fn`` to ``ds`` with every key's rows
+    together, in O(buckets) tasks: rows are tagged bucket =
+    ``key_hash(keys)`` mod 2 × CPUs, and ``fn`` gets one bucket's rows
+    (every key of it whole) as a ``batch_format`` batch. A per-key
+    ``groupby(keys).map_groups`` would pay one call per distinct key."""
+    import ray
+
+    nb = np.uint64(max(2, 2 * int(ray.cluster_resources().get("CPU", 1))))
+
+    def tag(b):
+        t = b if isinstance(b, pa.Table) else \
+            pa.Table.from_pandas(b[keys], preserve_index=False)
+        bkt = (key_hash(t, keys) % nb).astype(np.int64)
+        return b.append_column("__bkt", pa.array(bkt)) \
+            if isinstance(b, pa.Table) else b.assign(__bkt=bkt)
+
+    def apply(b):
+        return fn(b.drop_columns(["__bkt"]) if isinstance(b, pa.Table)
+                  else b.drop(columns="__bkt"))
+
+    return (ds.map_batches(tag, batch_format=batch_format)
+              .groupby("__bkt").map_groups(apply, batch_format=batch_format))
+
+
+def merge_keyed(parts, keys: list[str], combine: Callable):
+    """Fold the keyed partial rows of Dataset ``parts`` with the closed,
+    group-wise pyarrow ``combine``.
+
+    The partials run once; their blocks' measured bytes pick the branch:
+    - ≤ ``KEYED_FOLD_BYTES``: one ``combine`` over all of them on the
+      driver; returns that ``pa.Table`` (with no rows when ``parts``
+      has none);
+    - above: returns a Dataset over the blocks already held. Level 1
+      buckets rows by (keys, ``row_salts``) and combines each bucket, so
+      a hot key's partials merge in up to ``MERGE_FANIN`` places; level
+      2 buckets by keys and combines each key's level-1 rows into its
+      final rows.
+    """
+    import ray
+    import ray.data as rd
+
+    refs, nbytes = block_refs(parts)
+    driver = nbytes <= KEYED_FOLD_BYTES
+    log.debug("merge_keyed: partial_blocks=%d bytes=%d branch=%s", len(refs),
+              nbytes, "driver fold" if driver else "salted two-level merge")
+    if driver:
+        blocks = [b if isinstance(b, pa.Table) else
+                  pa.Table.from_pandas(b, preserve_index=False)
+                  for b in ray.get(refs)]
+        full = [b for b in blocks if b.num_rows]
+        if not full:
+            return blocks[0] if blocks else pa.table({})
+        return combine(pa.concat_tables(full, promote_options="permissive"))
+
+    def salt(t: pa.Table) -> pa.Table:
+        return t.append_column("__salt", pa.array(row_salts(t)))
+
+    lvl1 = bucket_apply(
+        rd.from_arrow_refs(refs).map_batches(salt, batch_format="pyarrow"),
+        [*keys, "__salt"], lambda t: combine(t.drop_columns(["__salt"])))
+    return bucket_apply(lvl1, keys, combine)
+
+
+def pandas_combine(fn: Callable[[pd.DataFrame], pd.DataFrame]):
+    """The closed pyarrow combine that runs the pandas frame function
+    ``fn``: its output keeps the input's schema, which pandas alone
+    would not (an all-null key column comes back as floats)."""
+
+    def combine(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(fn(t.to_pandas()), schema=t.schema,
+                                    preserve_index=False)
+
+    return combine
+
+
+def aggregate_by(keys: list[str], how="sum") -> Callable[[pa.Table], pa.Table]:
+    """Closed combine of partials that merge column-wise: one row per
+    key (a null key is a group), every other column folded by the
+    pandas aggregation ``how``: a name (``"sum"``, ``"max"``; nulls are
+    skipped, and a sum over none is 0), a function, or a {column: name}
+    dict. It runs in pandas because pyarrow 16's multi-key ``group_by``
+    splits one null-keyed group into several."""
+    return pandas_combine(lambda df: df.groupby(
+        keys, sort=False, dropna=False).agg(how).reset_index())

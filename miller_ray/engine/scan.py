@@ -17,6 +17,8 @@ from typing import Any, Callable
 import numpy as np
 import pandas as pd
 
+from miller_ray.engine.merge import block_refs
+
 
 def group_index(df: pd.DataFrame, keys: list[str]) -> dict[tuple, np.ndarray]:
     """Row positions of each group of ``df``, keyed by the group's key
@@ -68,8 +70,7 @@ def ordered_scan(ds, sort_keys: list[str] | None,
     # raw blocks, not to_arrow_refs(): that converts pandas blocks
     # through Arrow, which retypes an all-NaN float column to null
     # (object dtype once back in pandas)
-    refs = [ref for bundle in ds.materialize().iter_internal_ref_bundles()
-            for ref in bundle.block_refs]
+    refs, _ = block_refs(ds)
 
     def frame(block) -> pd.DataFrame:
         return block if isinstance(block, pd.DataFrame) else block.to_pandas()

@@ -14,12 +14,11 @@ move. Every blob fold goes through ``merge_blobs``.
   At 10^12 rows / ~1M blocks that is 4 levels; partial blobs are ~16 KB
   (HLL p=14), and a merge task holds about ``MERGE_FANIN`` of them.
 - Grouped sketches: ``build_grouped_sketches`` -> per-(block, group)
-  partial rows -> a driver fold when there are few of them, else a
-  two-level salted merge on pyarrow groups: ``groupby(keys + salt)``
-  then ``groupby(keys)``. A hot key (one ``source`` = 90% of rows,
-  FIXTURES F1) is absorbed at the partial stage (one row per block
-  regardless of row skew) and its merge fan-in is split across
-  ``n_salts`` reducers.
+  partial rows -> ``engine.merge.merge_keyed``: a driver fold while the
+  partials measure small, else its salted two-level keyed merge. A hot
+  key (one ``source`` = 90% of rows, FIXTURES F1) is absorbed at the
+  partial stage (one row per block regardless of row skew) and its
+  merge fan-in is split across salts.
 
 Builders are plain functions (stateless Ray tasks -> elastic, fusable).
 For expensive per-actor setup (shared broadcast state) pass an actor
@@ -35,8 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from miller_ray.engine.merge import merge_partials
-from miller_ray.hashing import hash64
+from miller_ray.engine.merge import merge_keyed, merge_partials
 
 
 @dataclass
@@ -158,27 +156,32 @@ def _partial_fn(specs: list[SketchSpec]):
 
 def merge_blobs(cls, blobs) -> Any:
     """Deserialize a non-empty sequence of ``cls`` blobs and merge them
-    into one sketch — the one blob fold of the global build, the grouped
-    driver fold and the grouped merge levels."""
+    into one sketch — the one blob fold of the global build and of the
+    grouped build's keyed merge."""
     acc = cls.from_bytes(blobs[0])
     for b in blobs[1:]:
         acc.merge(cls.from_bytes(b))
     return acc
 
 
-def _merge_fn(specs: list[SketchSpec]):
-    """Combiner over partial rows: one row whose spec columns hold the
-    merged blobs; any other column (group keys, salt) keeps its first
-    value, so it also merges one group of the grouped levels."""
+def _merge_fn(specs: list[SketchSpec], keys: list[str] | None = None):
+    """Combiner over partial rows: one row per key (one row in all
+    without ``keys``) whose spec columns hold the merged blobs."""
     classes = {s.name: type(s.factory()) for s in specs}
+    keys = keys or []
 
     def merge(t: pa.Table) -> pa.Table:
         if not t.num_rows:
             return t
-        row = {c: t[c].slice(0, 1) for c in t.column_names if c not in classes}
+        groups = [range(t.num_rows)] if not keys else list(
+            t.select(keys).to_pandas().groupby(keys, sort=False, dropna=False)
+            .indices.values())
+        out = {k: t[k].take([g[0] for g in groups]) for k in keys}
         for name, cls in classes.items():
-            row[name] = [merge_blobs(cls, t[name].to_pylist()).to_bytes()]
-        return pa.table(row)
+            blobs = t[name].to_pylist()
+            out[name] = [merge_blobs(cls, [blobs[i] for i in g]).to_bytes()
+                         for g in groups]
+        return pa.table(out).select(t.column_names)
 
     return merge
 
@@ -199,11 +202,9 @@ def build_sketches(ds, specs: list[SketchSpec],
         for spec in built})
 
 
-def _grouped_partial_fn(group_by: list[str], specs: list[SketchSpec],
-                        n_salts: int):
-    """Batch -> one partial row per group in the batch: the group keys,
-    one blob per spec, and ``__salt`` in [0, n_salts) hashed from the
-    first blob's content, so one group's partials spread over salts."""
+def _grouped_partial_fn(group_by: list[str], specs: list[SketchSpec]):
+    """Batch -> one partial row per group in the batch: the group keys
+    and one blob per spec."""
 
     def build(t: pa.Table) -> pa.Table:
         df_keys = t.select(group_by).to_pandas()
@@ -230,60 +231,27 @@ def _grouped_partial_fn(group_by: list[str], specs: list[SketchSpec],
                 sk = spec.factory()
                 apply_spec(sk, spec, sub, sub_cache)
                 out_cols[spec.name].append(sk.to_bytes())
-        # deterministic salt from the first blob's content
-        first = specs[0].name
-        salts = [int(hash64(np.array([b[:64]], dtype=object))[0]
-                     % np.uint64(n_salts))
-                 for b in out_cols[first]]
-        out_cols["__salt"] = salts
         return pa.table(out_cols)
 
     return build
 
 
-def build_grouped_sketches(ds, group_by: list[str], specs: list[SketchSpec],
-                           batch_size: int | None = None,
-                           n_salts: int = 16) -> pd.DataFrame:
-    """Per-group sketches with two-level salted merge.
+def build_grouped_sketches(ds, group_by: list[str],
+                           specs: list[SketchSpec]) -> pd.DataFrame:
+    """Per-group sketches, merged by ``merge_keyed``.
 
     Returns a pandas DataFrame: group_by columns + one column per spec
     holding the merged sketch OBJECT for that group (callers compute
-    estimates). Partial rows are one per (block, group); the salt splits
-    each group's merge fan-in across ``n_salts`` reducers before the
-    final per-group merge, so a hot group does not serialize on one
-    reducer (SURVEY.md §4 skew row).
+    estimates). Partial rows are one per (block, group); when they
+    measure large, the keyed merge's salts split each group's merge
+    fan-in across reducers before the final per-group merge, so a hot
+    group does not serialize on one reducer (SURVEY.md §4 skew row).
     """
     built = built_specs(specs)
-    parts = ds.map_batches(_grouped_partial_fn(group_by, built, n_salts),
-                           batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=batch_size).materialize()
-    classes = {s.name: type(s.factory()) for s in built}
-
-    # Small fan-in: fold the KB-sized partials on the driver — two Ray
-    # shuffle stages on a few hundred blob rows is pure fixed overhead.
-    # The salted two-level distributed merge below is the scale path
-    # (millions of partials / thousands of groups).
-    if parts.count() <= 5000:
-        pdf = parts.to_pandas()
-        rows = []
-        # dropna=False: null group keys are groups too (matches the
-        # distributed salted path and verbs.count's driver fold)
-        for key_vals, grp in pdf.groupby(group_by, sort=False, dropna=False):
-            if len(group_by) == 1:
-                key_vals = (key_vals,) if not isinstance(key_vals, tuple) else key_vals
-            row = dict(zip(group_by, key_vals))
-            for name, cls in classes.items():
-                row[name] = merge_blobs(cls, grp[name].tolist())
-            rows.append(row)
-        return bind_aliases(specs, pd.DataFrame(rows, columns=[*group_by, *classes]))
-
-    # level 1: (key, salt) -> level 2: key; each group is one pyarrow
-    # table merged to one row by the same combiner as the global build
-    merge = _merge_fn(built)
-    lvl1 = parts.groupby(group_by + ["__salt"]).map_groups(
-        merge, batch_format="pyarrow").drop_columns(["__salt"])
-    pdf = lvl1.groupby(group_by).map_groups(
-        merge, batch_format="pyarrow").to_pandas()
-    for name, cls in classes.items():
-        pdf[name] = pdf[name].map(cls.from_bytes)
+    parts = ds.map_batches(_grouped_partial_fn(group_by, built),
+                           batch_format="pyarrow", zero_copy_batch=True)
+    pdf = merge_keyed(parts, group_by, _merge_fn(built, group_by)).to_pandas()
+    pdf = pdf.reindex(columns=[*group_by, *(s.name for s in built)])
+    for s in built:
+        pdf[s.name] = pdf[s.name].map(type(s.factory()).from_bytes)
     return bind_aliases(specs, pdf.reset_index(drop=True))

@@ -153,7 +153,7 @@ def sketch_summary(ds) -> pd.DataFrame:
 
 
 def grouped_ntok_sketches(ds, hll_p: int = 14, kll_k: int = 200) -> pd.DataFrame:
-    """Per-source sketches with the salted two-level merge: distinct
+    """Per-source sketches merged through ``merge_keyed``: distinct
     doc_ids (HLL) and n_tok quantiles (KLL) per source."""
     specs = [
         SketchSpec.column("hll_doc_id", lambda: HyperLogLog(p=hll_p), "doc_id"),

@@ -4,10 +4,10 @@ Miller's only dedup is exact whole-record ``uniq -a`` (reference
 ``pkg/transformers/uniq.go:392-475``); these generalize it to
 training-data scale:
 
-- exact_dedup: hash-partitioned first-per-group. The shuffle key is a
-  64-bit content hash, NOT the payload, so only (hash, id) pairs move
-  wide; a Bloom pre-pass can prune definitely-unique rows before the
-  shuffle (north-rule Bloom use).
+- exact_dedup: hash-keyed first-per-group. The merge key is a 64-bit
+  content hash, NOT the payload, so only (hash, id) pairs move wide;
+  their measured size picks a broadcast filter or a bucketed
+  semi-join.
 - minhash_dedup: shingle -> minhash signature -> LSH band buckets ->
   candidate pairs within buckets -> signature-estimated Jaccard filter
   -> connected components (union-find over the surviving edge set,
@@ -23,12 +23,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from miller_ray.engine.merge import bucket_apply, merge_keyed, pandas_combine
 from miller_ray.hashing import hash64
 from miller_ray.sketches.minhash import MinHash, hamming64, shingle_hashes, simhash_concat
 
 
-def exact_dedup(ds, content_cols: list[str], id_col: str,
-                keep: str = "min", broadcast_limit: int = 2_000_000):
+def exact_dedup(ds, content_cols: list[str], id_col: str, keep: str = "min"):
     """Keep one row per distinct content: the one with the min (or max)
     id. Shuffle key = content hash; collisionful groups are disambiguated
     inside the group by the real content columns."""
@@ -46,121 +46,36 @@ def exact_dedup(ds, content_cols: list[str], id_col: str,
     # (local min/max per hash, plus the COUNT of rows tying the local
     # winner: full-row duplicates with the same id must still emit ONE
     # output row, and per-batch drop_duplicates cannot see cross-block
-    # copies) then a small merge; NEVER a per-group Python call (a
-    # map_groups here would pay one call per distinct hash — the whole
-    # corpus).
+    # copies) then ``merge_keyed`` by hash; NEVER a per-group Python
+    # call (a map_groups per hash would pay one call per distinct
+    # content — the whole corpus).
     agg_col = f"{id_col}_{keep}"
 
     def local_winner(t: pa.Table) -> pa.Table:
         # heavy reduction in Arrow (distinct (h, id) + copy count);
         # pandas touches only the reduced set to pick the per-h winner
         red = (t.select(["__h", id_col]).group_by(["__h", id_col])
-                .aggregate([([], "count_all")]).to_pandas())
-        idx = red.groupby("__h", sort=False)[id_col].idxmin() \
-            if keep == "min" else \
-            red.groupby("__h", sort=False)[id_col].idxmax()
-        g = (red.loc[idx]
-                .rename(columns={id_col: agg_col, "count_all": "__nw"})
-                .reset_index(drop=True))
-        return pa.Table.from_pandas(g[["__h", agg_col, "__nw"]],
-                                    preserve_index=False)
+                .aggregate([([], "count_all")]))
+        names = {id_col: agg_col, "count_all": "__nw"}
+        return combine(red.rename_columns(
+            [names.get(c, c) for c in red.column_names]).select(
+                ["__h", agg_col, "__nw"]))
 
-    parts = hashed.map_batches(local_winner, batch_format="pyarrow").materialize()
-    n_parts = parts.count()
-    if n_parts == 0:
+    @pandas_combine
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        # winner of winners per hash; its multiplicity sums the tie
+        # counts of the partials whose winner it is
+        win = df.groupby("__h", sort=False)[agg_col].transform(keep)
+        return (df[df[agg_col] == win]
+                .groupby(["__h", agg_col], sort=False, as_index=False)["__nw"].sum())
+
+    winners = merge_keyed(
+        hashed.map_batches(local_winner, batch_format="pyarrow"), ["__h"], combine)
+    if not isinstance(winners, pa.Table):
+        return _bucketed_semijoin(hashed, winners, content_cols, id_col, agg_col)
+    if not winners.num_rows:
         return ds  # empty input: pass the (empty) stream through
-    if n_parts > broadcast_limit:
-        # Stage 2, scale path: winners stay distributed. A manual
-        # BUCKETED semi-join replaces Dataset.join: both sides tag
-        # bucket = __h mod P and co-locate via groupby(bucket)
-        # .map_groups — P python calls total (not per-content), each
-        # holding ~1/P of the corpus. All rows of one content hash land
-        # in one bucket, so same-(hash, id) duplicates dedupe EXACTLY
-        # here. (Dataset.join was also observed to deadlock when
-        # num_partitions exceeds ~4x schedulable cores, and to raise
-        # ArrowInvalid on empty right partitions — the manual bucket
-        # join has neither failure mode.)
-        import ray as _ray
-
-        from ray.data.aggregate import Max, Min
-
-        agg = Min(agg_col, alias_name=agg_col) if keep == "min" else \
-            Max(agg_col, alias_name=agg_col)
-        winners_ds = (parts.groupby("__h").aggregate(agg)
-                           .rename_columns({agg_col: id_col}))
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-        n_buckets = max(2, min(max(cpus, n_parts // 1_000_000), 4 * cpus))
-
-        def tag_bucket(t: pa.Table) -> pa.Table:
-            b = (t["__h"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                 % np.uint64(n_buckets)).astype(np.int64)
-            return t.append_column("__b", pa.array(b))
-
-        data_cols = [c for c in hashed.schema().names]
-        rows_b = hashed.map_batches(tag_bucket, batch_format="pyarrow")
-
-        def wside(t: pa.Table) -> pa.Table:
-            t = tag_bucket(t)
-            return t.rename_columns(
-                ["__wh" if c == "__h" else "__wid" if c == id_col else c
-                 for c in t.column_names])
-
-        win_b = winners_ds.map_batches(wside, batch_format="pyarrow")
-        ucols = data_cols + ["__b", "__wh", "__wid"]
-
-        def bucket_semijoin(g: pd.DataFrame) -> pd.DataFrame:
-            wmask = g["__wid"].notna() if "__wid" in g.columns else \
-                pd.Series(False, index=g.index)
-            w = g[wmask]
-            rows = g[~wmask]
-            keepm = pd.MultiIndex.from_arrays(
-                [rows["__h"], rows[id_col]]).isin(
-                pd.MultiIndex.from_arrays([w["__wh"], w["__wid"]]))
-            out = rows[keepm]
-            # one output row per content: same-(h, id) full-row dups
-            # collapse here (whole hash lives in this bucket); true
-            # hash collisions are disambiguated by content equality
-            out = out.drop_duplicates(subset=content_cols)
-            out = out[[c for c in data_cols if c != "__h"]].copy()
-            # the union's null padding promoted int columns to float in
-            # this pandas group — restore the input dtypes
-            for c in out.columns:
-                if pa.types.is_integer(data_types[c]) and \
-                        out[c].dtype != np.int64:
-                    out[c] = out[c].astype(np.int64)
-            return out
-
-        # union the (schema-aligned) sides: winner rows carry null data
-        # columns, data rows carry null __wh/__wid
-        data_types = dict(zip(hashed.schema().names,
-                              hashed.schema().types))
-
-        def pad_rows(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            t = t.append_column("__wh", pa.nulls(n, pa.int64()))
-            t = t.append_column("__wid", pa.nulls(n, data_types[id_col]))
-            return t.select(ucols)
-
-        def pad_wins(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            for c in data_cols:
-                t = t.append_column(c, pa.nulls(n, data_types[c]))
-            return t.select(ucols)
-
-        u = rows_b.map_batches(pad_rows, batch_format="pyarrow").union(
-            win_b.map_batches(pad_wins, batch_format="pyarrow"))
-        return u.groupby("__b").map_groups(bucket_semijoin,
-                                           batch_format="pandas")
-
-    pdf = parts.to_pandas()
-    gw = (pdf.groupby("__h", sort=False)
-             .agg(**{agg_col: (agg_col, keep)}).reset_index())
-    # winner multiplicity: total count of rows tying the GLOBAL winner
-    # — blocks whose local winner equals it contribute their tie count
-    sel = pdf[agg_col].to_numpy() == pdf["__h"].map(
-        gw.set_index("__h")[agg_col]).to_numpy()
-    mult = pdf[sel].groupby("__h", sort=False)["__nw"].sum()
-    winners = gw
+    winners = winners.to_pandas()
     # Stage 2, broadcast path: pack (content hash, id hash) into one
     # uint64 per winner and semi-join via np.isin against the sorted
     # packed array — vectorized, 8 bytes/winner, no per-row Python
@@ -175,10 +90,8 @@ def exact_dedup(ds, content_cols: list[str], id_col: str,
     # (h, id) pairs whose winner row occurs MORE THAN ONCE in the input
     # (full-row duplicates): excluded from the streamed filter and
     # re-emitted exactly once below. Empty for well-formed inputs.
-    dup_hs = mult[mult > 1].index.to_numpy()
-    dpacked = np.sort(_pack(
-        dup_hs, gw.set_index("__h").loc[dup_hs, agg_col].to_numpy())) \
-        if len(dup_hs) else np.empty(0, dtype=np.uint64)
+    dups = winners[winners["__nw"] > 1]
+    dpacked = np.sort(_pack(dups["__h"].to_numpy(), dups[agg_col].to_numpy()))
     wref = ray.put(wpacked)
     dref = ray.put(dpacked)
 
@@ -211,6 +124,52 @@ def exact_dedup(ds, content_cols: list[str], id_col: str,
                    .drop_duplicates(subset=content_cols)
                    .drop(columns="__h"))
     return streamed.union(_rd.from_pandas(extra))
+
+
+def _bucketed_semijoin(hashed, winners, content_cols: list[str], id_col: str,
+                       agg_col: str):
+    """exact_dedup's stage 2 when the winners stay distributed: a
+    BUCKETED semi-join instead of Dataset.join. Data rows and winner
+    rows share one union schema (winners carry only ``__h`` and
+    ``__wid``), and ``bucket_apply`` co-locates every row of one content
+    hash: O(buckets) Python calls, each holding ~1/buckets of the
+    corpus, and same-(hash, id) duplicates dedupe EXACTLY there.
+    (Dataset.join was also observed to deadlock when num_partitions
+    exceeds ~4x schedulable cores, and to raise ArrowInvalid on empty
+    right partitions — the bucket join has neither failure mode.)"""
+    data_types = dict(zip(hashed.schema().names, hashed.schema().types))
+    ucols = [*data_types, "__wid"]
+
+    def pad_rows(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "__wid", pa.nulls(t.num_rows, data_types[id_col])).select(ucols)
+
+    def pad_wins(t: pa.Table) -> pa.Table:
+        cols = {c: pa.nulls(t.num_rows, ty) for c, ty in data_types.items()}
+        cols["__h"], cols["__wid"] = t["__h"], t[agg_col].cast(data_types[id_col])
+        return pa.table(cols).select(ucols)
+
+    def semijoin(g: pd.DataFrame) -> pd.DataFrame:
+        wmask = g["__wid"].notna()
+        w, rows = g[wmask], g[~wmask]
+        keepm = pd.MultiIndex.from_arrays([rows["__h"], rows[id_col]]).isin(
+            pd.MultiIndex.from_arrays([w["__h"], w["__wid"]]))
+        # one output row per content: same-(h, id) full-row dups
+        # collapse here (whole hash lives in this bucket); true
+        # hash collisions are disambiguated by content equality
+        out = rows[keepm].drop_duplicates(subset=content_cols)
+        out = out[[c for c in data_types if c != "__h"]].copy()
+        # the union's null padding promoted int columns to float in
+        # this pandas group — restore the input dtypes
+        for c in out.columns:
+            if pa.types.is_integer(data_types[c]) and \
+                    out[c].dtype != np.int64:
+                out[c] = out[c].astype(np.int64)
+        return out
+
+    u = hashed.map_batches(pad_rows, batch_format="pyarrow").union(
+        winners.map_batches(pad_wins, batch_format="pyarrow"))
+    return bucket_apply(u, ["__h"], semijoin, batch_format="pandas")
 
 
 def _keep_multi_member_buckets(ds, keys: list[str], return_counts: bool = False):

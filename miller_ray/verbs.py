@@ -32,52 +32,29 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from miller_ray.engine.groupby import grouped_percentiles, grouped_stats
-from miller_ray.engine.merge import merge_partials
+from miller_ray.engine.merge import (aggregate_by, bucket_apply, merge_keyed,
+                                     merge_partials, pandas_combine)
 from miller_ray.engine.scan import group_index, ordered_scan, running_carries
 
 _MOMENT_ACCS = {"count", "null_count", "sum", "mean", "min", "max", "var",
                 "stddev", "meaneb", "skewness", "kurtosis", "minlen", "maxlen"}
 
 
-def _bucketed_group_apply(ds, keys: list[str], fn,
-                          num_buckets: int | None = None):
-    """Co-locate all rows of each key and apply a pandas group-wise
-    function with O(buckets) Ray tasks instead of O(groups):
-    ``groupby(keys).map_groups`` pays one Python task per distinct
-    key — a scale killer for high-cardinality keys (billions of
-    doc_ids). Rows are tagged bucket = row-hash(keys) mod P; ``fn``
-    receives one BUCKET's frame (every key's rows land whole in
-    exactly one bucket) and must itself be group-wise (e.g.
-    ``df.groupby(keys).head(n)`` — vectorized C inside the task)."""
-    import ray
+def _keyed_dataset(parts, keys: list[str], combine):
+    """``merge_keyed`` for a verb whose answer is a Dataset: the driver
+    fold's small table is wrapped once."""
+    import ray.data as rd
 
-    if num_buckets is None:
-        num_buckets = max(2, 2 * int(ray.cluster_resources().get("CPU", 8)))
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        if len(df):
-            df["__bkt"] = (pd.util.hash_pandas_object(
-                df[keys], index=False).to_numpy()
-                % np.uint64(num_buckets)).astype(np.int64)
-        else:
-            df["__bkt"] = pd.Series(dtype=np.int64)
-        return df
-
-    def apply_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df.drop(columns="__bkt"))
-
-    return (ds.map_batches(tag, batch_format="pandas")
-              .groupby("__bkt").map_groups(apply_bucket,
-                                           batch_format="pandas"))
+    out = merge_keyed(parts, keys, combine)
+    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
 
 
 # ---------------------------------------------------------------------------
 # counting / distinctness  (count.go, uniq.go)
 # ---------------------------------------------------------------------------
 
-def count(ds, group_by: list[str] | None = None, output_name: str = "count",
-          fold_limit: int = 2_000_000) -> pd.DataFrame:
+def count(ds, group_by: list[str] | None = None,
+          output_name: str = "count") -> pd.DataFrame:
     """Verb ``count`` (count.go): record count, optionally per group."""
     if not group_by:
         return pd.DataFrame({output_name: [ds.count()]})
@@ -87,43 +64,33 @@ def count(ds, group_by: list[str] | None = None, output_name: str = "count",
         return out.select(sorted(out.column_names))
 
     parts = ds.select_columns(group_by).map_batches(
-        partial, batch_format="pyarrow").materialize()
-    # small fan-in -> driver fold (a distributed shuffle on a few MB of
-    # partials is pure overhead); high-cardinality keys take the Ray path
-    if parts.count() <= fold_limit:
-        pdf = parts.to_pandas()
-        if pdf.empty:  # empty input loses its schema through to_pandas
-            return pd.DataFrame({**{g: [] for g in group_by},
-                                 output_name: pd.Series(dtype=np.int64)})
-        out = (pdf.groupby(group_by, sort=False, dropna=False)["count_all"]
-                  .sum().reset_index().rename(columns={"count_all": output_name}))
-    else:
-        from ray.data.aggregate import Sum
-
-        out = parts.groupby(group_by).aggregate(
-            Sum("count_all", alias_name=output_name)).to_pandas()
+        partial, batch_format="pyarrow")
+    out = merge_keyed(parts, group_by, aggregate_by(group_by)).to_pandas()
+    if out.empty:  # empty input loses its schema through to_pandas
+        return pd.DataFrame({**{g: [] for g in group_by},
+                             output_name: pd.Series(dtype=np.int64)})
+    out = out.rename(columns={"count_all": output_name})[
+        [*group_by, output_name]]
     out[output_name] = out[output_name].astype(np.int64)
     return out
 
 
-def _num_distinct(ds, fields: list[str],
-                  fold_limit: int = 2_000_000) -> int:
+def _num_distinct(ds, fields: list[str]) -> int:
     """Number of distinct field-combos WITHOUT collecting the distinct
-    set to the driver. Per-block distinct partial (bounded by block
-    size), then: small partial sets fold on the driver; above the
-    threshold the partials go through a Dataset ``groupby`` shuffle and
-    only ``.count()`` of the grouped stream reaches the driver — a
-    billion-key ``count-distinct -n`` never materializes its keys."""
+    set to the driver when it is big: per-block distinct partials
+    (bounded by block size) go through ``merge_keyed``; when they
+    measure large, the merged distinct set stays a Dataset and only its
+    ``count()`` reaches the driver — a billion-key ``count-distinct -n``
+    never materializes its keys."""
     def partial(t: pa.Table) -> pa.Table:
         out = t.group_by(fields).aggregate([])
         return out.select(sorted(out.column_names))
 
     parts = ds.select_columns(fields).map_batches(
-        partial, batch_format="pyarrow").materialize()
-    if parts.count() <= fold_limit:
-        return int(len(parts.to_pandas().drop_duplicates()))
-    from ray.data.aggregate import Count
-    return int(parts.groupby(fields).aggregate(Count()).count())
+        partial, batch_format="pyarrow")
+    out = merge_keyed(parts, fields,
+                      pandas_combine(lambda df: df.drop_duplicates()))
+    return out.num_rows if isinstance(out, pa.Table) else int(out.count())
 
 
 def count_lazy(ds, group_by: list[str], output_name: str = "count"):
@@ -246,11 +213,13 @@ def stats1(ds, accs: list[str], fields: list[str],
 
 
 def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.DataFrame:
-    """distinct_count / mode / antimode, fully distributed: per-block
-    (group, value) partial counts -> Ray hash-shuffle merge keyed by
-    (group, value) -> per-block per-group CANDIDATES (arg-max/arg-min
-    count + distinct partials) -> ``merge_partials`` of the candidates.
-    The distinct-value table never lands on the driver.
+    """distinct_count / mode / antimode: per-block (group, value)
+    partial counts -> ``merge_keyed`` by (group, value). A driver fold
+    gives the (group, value) count table itself, reduced to one
+    candidate row per group. When the counts measure large they stay
+    distributed: per-block per-group CANDIDATES (arg-max/arg-min count +
+    distinct partials) -> ``merge_partials`` of the candidates, so the
+    distinct-value table never lands on the driver.
 
     Tie-break: highest/lowest count, then smallest value
     (deterministic; Miller uses first-seen, stats1_accumulators.go:367-405)."""
@@ -263,12 +232,11 @@ def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.Da
         # an all-null group reports mode=null
         t = t.filter(pc.is_valid(t[field]))
         out = t.group_by(gcols).aggregate([([], "count_all")])
-        return out.select(sorted(out.column_names))
+        return out.rename_columns(
+            ["__n" if c == "count_all" else c for c in out.column_names])
 
     parts = ds.select_columns(gcols).map_batches(partial, batch_format="pyarrow")
-    from ray.data.aggregate import Sum
-
-    merged = parts.groupby(gcols).aggregate(Sum("count_all", alias_name="__n"))
+    merged = merge_keyed(parts, gcols, aggregate_by(gcols))
     cand_cols = keys + ["__mode_v", "__mode_n", "__anti_v", "__anti_n", "__dc"]
 
     def candidates(df: pd.DataFrame) -> pd.DataFrame:
@@ -317,8 +285,10 @@ def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.Da
                .merge(dc, on=keys))
         return out[cand_cols]
 
-    cand = merge_partials(merged.map_batches(candidates, batch_format="pandas"),
-                          combine_cands, batch_format="pandas")
+    # a driver fold's counts are all there is: one candidate per group
+    cand = candidates(merged.to_pandas()) if isinstance(merged, pa.Table) \
+        else merge_partials(merged.map_batches(candidates, batch_format="pandas"),
+                            combine_cands, batch_format="pandas")
     # the driver's combine_cands leaves ONE row per group; every value
     # null leaves no candidate, so no mode/antimode rows at all
     out = combine_cands(cand) if len(cand) else \
@@ -394,12 +364,11 @@ def _sum_xy(ds, group_by: list[str], x: str, y: str) -> pd.DataFrame:
         cols["__xy"] = pc.multiply(fx, fy)
         return pa.table(cols).group_by(keys).aggregate([("__xy", "sum")])
 
-    from ray.data.aggregate import Sum
-
     parts = ds.select_columns(list(dict.fromkeys(group_by + [x, y]))).map_batches(
         partial, batch_format="pyarrow")
-    out = parts.groupby(keys).aggregate(Sum("__xy_sum", alias_name="__sumxy")).to_pandas()
-    return out[group_by + ["__sumxy"]] if group_by else out[["__sumxy"]]
+    out = merge_keyed(parts, keys, aggregate_by(keys)).to_pandas()
+    return out.rename(columns={"__xy_sum": "__sumxy"}).reindex(
+        columns=[*group_by, "__sumxy"])
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +448,12 @@ def histogram(ds, fields: list[str], lo: float, hi: float, nbins: int = 20) -> p
         out["bin"] = np.arange(nbins, dtype=np.int64)
         return pa.table(out)
 
-    from ray.data.aggregate import Sum
-
-    parts = ds.select_columns(fields).map_batches(partial, batch_format="pyarrow")
-    merged = parts.groupby("bin").aggregate(
-        *[Sum(f"{f}_count", alias_name=f"{f}_count") for f in fields]).to_pandas()
+    # nbins rows per block whatever the input: a bounded partial
+    combine = aggregate_by(["bin"])
+    left = merge_partials(
+        ds.select_columns(fields).map_batches(partial, batch_format="pyarrow"),
+        combine)
+    merged = combine(left).to_pandas() if left.num_rows else pd.DataFrame()
     if merged.empty:  # no input blocks at all: every bin counts zero
         merged = pd.DataFrame({"bin": np.arange(nbins, dtype=np.int64),
                                **{f"{f}_count": np.zeros(nbins, np.int64)
@@ -642,68 +612,51 @@ def head(ds, n: int = 10, group_by: list[str] | None = None,
     """Verb ``head`` (head.go): first n records (per group with -g).
     Ungrouped relies on Dataset.limit's backpressure fast-stop —
     the analogue of Miller's downstream-done protocol. Grouped "first"
-    needs a declared order distributed: with ``order_by``, a bounded
-    per-block smallest-n-per-group prune + tiny grouped merge (exact,
-    no full shuffle). Without it, an arbitrary-n-per-group fallback
+    needs a declared order distributed: with ``order_by`` see
+    :func:`head_by`. Without it, the first n per group in block order
     (conformance-scale only; Miller's stream order does not exist
     distributed — declare an order column for deterministic output)."""
     if not group_by:
         return ds.limit(n)
-    if order_by is not None:
-        return head_by(ds, n, order_by, group_by)
-    # per-block pre-trim first: n rows per group per block bound the
-    # shuffle at groups×n rows per block instead of the whole dataset
-    trimmed = ds.map_batches(
-        lambda df: df.groupby(group_by, sort=False, dropna=False).head(n),
-        batch_format="pandas")
-    return _bucketed_group_apply(
-        trimmed, group_by,
-        lambda df: df.groupby(group_by, sort=False, dropna=False).head(n))
+    return _ends_per_group(ds, n, group_by, order_by, last=False)
 
 
 def head_by(ds, n: int, order_by: str, group_by: list[str]):
     """Verb ``head -n -g`` with a declared order: first n records per
-    group by ``order_by``. Same scale shape as tail_by: per-block
-    smallest-n-per-group prune, then a groupby merge over at most
-    n×blocks candidate rows per group."""
+    group by ``order_by`` (see :func:`_ends_per_group`)."""
+    return _ends_per_group(ds, n, group_by, order_by, last=False)
 
-    def per_block(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(order_by)
-                  .groupby(group_by, sort=False, dropna=False)
-                  .head(n))
 
-    pruned = ds.map_batches(per_block, batch_format="pandas")
+def _ends_per_group(ds, n: int, group_by: list[str], order_by: str | None,
+                    last: bool):
+    """First (``last``: last) n records per group, by ``order_by`` or,
+    without it, in block order. Scale shape: each block is trimmed to
+    its own first/last n per group, so at most groups × n candidate rows
+    per block reach ``merge_keyed``, whose combine is the same trim
+    (the first n of first-n's are the first n)."""
 
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(order_by)
-                  .groupby(group_by, sort=False, dropna=False).head(n))
+    @pandas_combine
+    def trim(df: pd.DataFrame) -> pd.DataFrame:
+        if order_by is not None:
+            df = df.sort_values(order_by)
+        g = df.groupby(group_by, sort=False, dropna=False)
+        return g.tail(n) if last else g.head(n)
 
-    return _bucketed_group_apply(pruned, group_by, f)
+    return _keyed_dataset(ds.map_batches(trim, batch_format="pyarrow"),
+                          group_by, trim)
 
 
 def tail(ds, n: int = 10, group_by: list[str] | None = None,
          order_by: str | None = None):
-    """Verb ``tail`` (tail.go): last n records per group. Distributed
-    "last" needs a declared order: with ``order_by``, a bounded
-    per-block top-k on the order column + tiny driver merge (no global
-    sort, no order-dependence on block scheduling). Without it, falls
-    back to block-order skip (conformance-scale only; Miller's stream
-    order does not exist distributed)."""
+    """Verb ``tail`` (tail.go): last n records (per group with -g, see
+    :func:`_ends_per_group`). Distributed "last" needs a declared
+    order: ungrouped with ``order_by``, a bounded per-block top-k on the
+    order column + tiny driver merge (no global sort, no
+    order-dependence on block scheduling). Without it, falls back to
+    block order (conformance-scale only; Miller's stream order does not
+    exist distributed)."""
     if group_by:
-        if order_by is not None:
-            return tail_by(ds, n, order_by, group_by)
-        # block-stream order fallback (declare an order column for the
-        # tail_by scale path). Per-block pre-trim keeps it bounded:
-        # the last n per group lie in the union of each block's last n
-        # per group, so the shuffle moves ≤ groups×n rows per block
-        trimmed = ds.map_batches(
-            lambda df: df.groupby(group_by, sort=False,
-                                  dropna=False).tail(n),
-            batch_format="pandas")
-        return _bucketed_group_apply(
-            trimmed, group_by,
-            lambda df: df.groupby(group_by, sort=False,
-                                  dropna=False).tail(n))
+        return _ends_per_group(ds, n, group_by, order_by, last=True)
     if order_by is not None:
         def per_block(t: pa.Table) -> pa.Table:
             df = t.to_pandas()
@@ -1102,8 +1055,7 @@ def _rank_sorted(ds, field: str, group_by: list[str],
 
 
 def rank(ds, field: str, group_by: list[str] | None = None,
-         output_name: str | None = None,
-         broadcast_limit: int = 2_000_000):
+         output_name: str | None = None):
     """Verb ``rank`` (rank.go, EmitRank percentile_keeper.go:88-104):
     standard competition rank (1,2,2,4) of the field among all records
     (per group with -g)."""
@@ -1116,26 +1068,26 @@ def rank(ds, field: str, group_by: list[str] | None = None,
     # group and a broadcast map back over the stream. No per-group
     # map_groups: a hot group never lands on one reducer. When values
     # DON'T repeat (near-unique/continuous columns) the lookup table
-    # is data-sized: detected via the partial-count row count, routed
-    # to the sort-based path instead of an unbounded broadcast.
+    # is data-sized: merge_keyed then measures the value counts large
+    # and returns a Dataset, and rank takes the sort-based path instead
+    # of an unbounded broadcast.
     keys = group_by + [field]
 
     def partial(t: pa.Table) -> pa.Table:
         out = t.group_by(keys).aggregate([([], "count_all")])
         return out.select(sorted(out.column_names))
 
-    parts = ds.select_columns(keys).map_batches(
-        partial, batch_format="pyarrow").materialize()
-    if parts.count() > broadcast_limit:
+    counts = merge_keyed(ds.select_columns(keys).map_batches(
+        partial, batch_format="pyarrow"), keys, aggregate_by(keys))
+    if not isinstance(counts, pa.Table):
         return _rank_sorted(ds, field, group_by, output_name)
-    pdf = parts.to_pandas()
+    pdf = counts.to_pandas()
     if pdf.empty:  # empty input: rank column exists, no rows
         return ds.map_batches(
             lambda t: t.append_column(
                 output_name, pa.array([0] * t.num_rows, type=pa.int64())),
             batch_format="pyarrow")
-    vc = (pdf.groupby(keys, sort=False, dropna=False)["count_all"]
-             .sum().reset_index().rename(columns={"count_all": "count"}))
+    vc = pdf.rename(columns={"count_all": "count"})
     vc["count"] = vc["count"].astype(np.int64)
     vc = vc.sort_values(keys).reset_index(drop=True)
     if group_by:
@@ -1230,11 +1182,10 @@ def sorted_merge_join(ds, left, right_on: list[str],
     utils/join_bucket_keeper.go:118): both sides are key-sorted, so
     equal keys form contiguous runs and pairing needs no hash of the
     full left side. Ray-native shape: tag each side, align to one
-    union schema, and let ``groupby(keys).map_groups`` co-locate each
-    key's run — on already-sorted inputs Ray's sort-based exchange is
-    a near-no-op re-range, not a random shuffle. Each key group pairs
-    left×stream rows (cartesian within the key, as the bucket keeper
-    does for equal-key runs); unpaired sides emit under --ul/--ur.
+    union schema, and let the engine's ``bucket_apply`` co-locate each
+    key's run in hash buckets. Each key group pairs left×stream rows
+    (cartesian within the key, as the bucket keeper does for equal-key
+    runs); unpaired sides emit under --ul/--ur.
 
     Works large-large: no side is ingested whole; memory is bounded by
     the largest single key run (skewed keys hurt — same caveat as the
@@ -1327,7 +1278,8 @@ def sorted_merge_join(ds, left, right_on: list[str],
             df.iloc[0:0][ucols]
         return out.reindex(columns=ucols)
 
-    return _bucketed_group_apply(tagged, list(right_on), per_bucket)
+    return bucket_apply(tagged, list(right_on), per_bucket,
+                        batch_format="pandas")
 
 
 def mlr_join(ds, left, left_on: list[str], right_on: list[str] | None = None,
@@ -1693,30 +1645,29 @@ def nest_implode(ds, field: str, group_by: list[str], sep: str = ";"):
     Deterministic order: value-sorted (Miller: stream order).
 
     Scale shape: values are PRE-JOINED per (block, group) inside
-    map_batches, so the groupby shuffle moves one joined row per
-    (block, group) instead of every record; the final per-group merge
-    re-splits and re-sorts only the partials. A hot group's full value
-    string still lands on one reducer — inherent to the verb's output
-    (one record holding every value)."""
+    map_batches, so ``merge_keyed`` moves one joined row per (block,
+    group) instead of every record; its combine joins a group's parts
+    into one, and the value sort and ``sep`` join run once, after the
+    merge. A hot group's full value string still lands on one reducer
+    — inherent to the verb's output (one record holding every
+    value)."""
 
     NUL = "\x00"  # internal partial separator: values may contain sep
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(group_by, sort=False, dropna=False)[field]
-        out = g.apply(lambda s: NUL.join(s.astype(str))) \
-            .reset_index().rename(columns={field: "__part"})
-        return out
+    combine = aggregate_by(group_by, NUL.join)
 
-    parts = ds.map_batches(partial, batch_format="pandas")
+    def partial(t: pa.Table) -> pa.Table:
+        # each value rendered as pandas renders it, one part per record
+        strs = pa.array(t[field].to_pandas().astype(str), pa.string())
+        return combine(t.select(group_by).append_column("__part", strs))
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = (df.groupby(group_by, sort=False, dropna=False)["__part"]
-                 .agg(lambda s: sep.join(sorted(
-                     v for p in s for v in p.split(NUL))))
-                 .reset_index().rename(columns={"__part": field}))
-        return out
+    def finish(df: pd.DataFrame) -> pd.DataFrame:
+        df[field] = [sep.join(sorted(p.split(NUL))) for p in df.pop("__part")]
+        return df
 
-    return _bucketed_group_apply(parts, group_by, merge)
+    parts = ds.map_batches(partial, batch_format="pyarrow")
+    return _keyed_dataset(parts, group_by, combine).map_batches(
+        finish, batch_format="pandas")
 
 
 def reshape_wide_to_long(ds, fields: list[str], key_name: str = "key",
@@ -1742,8 +1693,9 @@ def reshape_long_to_wide(ds, key_field: str, value_field: str,
                          group_by: list[str], key_values: list[str] | None = None):
     """Verb ``reshape -s key,value`` (reshape.go, non-streaming half):
     long->wide. Vectorized two-phase: per-batch partial pivot (each
-    (group, key) cell filled at most once globally), then a grouped
-    first-non-null merge — no per-group Python calls."""
+    (group, key) cell filled at most once globally), then a
+    ``merge_keyed`` first-non-null (max) merge — no per-group Python
+    calls."""
     if key_values is None:
         key_values = sorted(ds.select_columns([key_field]).unique(key_field))
     key_values = [str(k) for k in key_values]
@@ -1755,11 +1707,8 @@ def reshape_long_to_wide(ds, key_field: str, value_field: str,
         w.columns = [str(c) for c in w.columns]
         return w.reset_index()
 
-    from ray.data.aggregate import Max
-
     parts = ds.map_batches(partial, batch_format="pandas")
-    return parts.groupby(group_by).aggregate(
-        *[Max(k, alias_name=k, ignore_nulls=True) for k in key_values])
+    return _keyed_dataset(parts, group_by, aggregate_by(group_by, "max"))
 
 
 def repeat(ds, n: int = 1, by_field: str | None = None):
@@ -2328,22 +2277,8 @@ def least_frequent(ds, fields: list[str], n: int = 1,
 def tail_by(ds, n: int, order_by: str, group_by: list[str]):
     """Verb ``tail -n -g`` with a declared order: last n records per
     group by ``order_by`` (tail.go keeps a ring buffer in stream
-    order). Scale shape: a per-BLOCK top-n-per-group prune first, so
-    the groupby shuffle moves at most n rows per (group, block) —
-    candidates, never the full input."""
-
-    def per_block(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(order_by)
-                  .groupby(group_by, sort=False, dropna=False)
-                  .tail(n))
-
-    pruned = ds.map_batches(per_block, batch_format="pandas")
-
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(order_by)
-                  .groupby(group_by, sort=False, dropna=False).tail(n))
-
-    return _bucketed_group_apply(pruned, group_by, f)
+    order; see :func:`_ends_per_group`)."""
+    return _ends_per_group(ds, n, group_by, order_by, last=True)
 
 
 def step_slwin(ds, fields: list[str], m: int, n: int, group_by: list[str],
@@ -2658,12 +2593,11 @@ def bootstrap_ci(ds, fields: list[str], stat: str = "mean",
         out["rep"] = np.arange(nboot, dtype=np.int64)
         return pa.table(out)
 
-    from ray.data.aggregate import Sum
-
-    parts = ds.select_columns(fields).map_batches(partial, batch_format="pyarrow")
-    aggs = [Sum(f"{f}_{m}", alias_name=f"{f}_{m}")
-            for f in fields for m in ("n", "s")]
-    merged = parts.groupby("rep").aggregate(*aggs).to_pandas()
+    # nboot rows per block whatever the input: a bounded partial
+    combine = aggregate_by(["rep"])
+    merged = combine(merge_partials(
+        ds.select_columns(fields).map_batches(partial, batch_format="pyarrow"),
+        combine)).to_pandas()
     alpha = (1.0 - level) / 2.0
     rows = []
     for f in fields:

@@ -4,6 +4,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from miller_ray.engine import merge
 from miller_ray.stages import dedup
 
 
@@ -26,7 +27,7 @@ def test_exact_dedup_no_dups_is_identity(rd):
     assert sorted(out["id"]) == [1, 2, 3]
 
 
-def test_exact_dedup_cross_block_full_row_dups(rd):
+def test_exact_dedup_cross_block_full_row_dups(rd, monkeypatch):
     # identical (id, content) rows in DIFFERENT blocks must still emit
     # exactly one output row — per-batch drop_duplicates can't see
     # cross-block copies (regression: winner multiplicity tracking /
@@ -36,22 +37,23 @@ def test_exact_dedup_cross_block_full_row_dups(rd):
     ds = rd.from_arrow(t1).union(rd.from_arrow(t2))
     a = dedup.exact_dedup(ds, ["txt"], "id").to_pandas()
     assert sorted(a["id"].tolist()) == [1, 2, 3]
-    b = dedup.exact_dedup(ds, ["txt"], "id", broadcast_limit=0).to_pandas()
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    b = dedup.exact_dedup(ds, ["txt"], "id").to_pandas()
     assert sorted(b["id"].tolist()) == [1, 2, 3]
     assert b["id"].dtype == "int64"
 
 
-def test_exact_dedup_shuffle_join_scale_path(rd):
-    # force the >broadcast_limit branch (hash-partitioned shuffle
-    # semi-join — the 100-TB path) and check it agrees with the
-    # broadcast path on the same input
+def test_exact_dedup_shuffle_join_scale_path(rd, monkeypatch):
+    # force the distributed branch (bucketed semi-join — the 100-TB
+    # path) and check it agrees with the broadcast path on the same
+    # input
     n = 500
     ids = list(range(n))
     txts = [f"doc{i % 200}" for i in ids]  # 200 distinct, dups keep min id
     t = pa.table({"id": ids, "txt": txts})
     a = dedup.exact_dedup(rd.from_arrow(t), ["txt"], "id").to_pandas()
-    b = dedup.exact_dedup(rd.from_arrow(t), ["txt"], "id",
-                          broadcast_limit=0).to_pandas()
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    b = dedup.exact_dedup(rd.from_arrow(t), ["txt"], "id").to_pandas()
     assert sorted(a["id"]) == sorted(b["id"]) == list(range(200))
 
 

@@ -2,6 +2,7 @@
 verbs are written against the engine primitives (``ordered_scan``), so
 a Ray upgrade touches one package."""
 
+import ast
 import pathlib
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "miller_ray"
@@ -18,3 +19,22 @@ def test_ray_internals_stay_in_engine():
     outside = [f for f in _files_using("iter_internal_ref_bundles")
                if not f.startswith("engine/")]
     assert not outside, outside
+
+
+def test_block_refs_are_read_in_one_engine_function():
+    # every access to the attribute, by (file, top-level function)
+    users = set()
+    for p in sorted(PKG.rglob("*.py")):
+        for top in ast.parse(p.read_text(encoding="utf-8")).body:
+            if any(isinstance(n, ast.Attribute)
+                   and n.attr == "iter_internal_ref_bundles"
+                   for n in ast.walk(top)):
+                users.add((p.relative_to(PKG).as_posix(),
+                           getattr(top, "name", None)))
+    assert len(users) == 1 and next(iter(users))[0].startswith("engine/"), users
+
+
+def test_keyed_fold_knobs_are_gone():
+    for token in ("fold_limit", "broadcast_limit", "n_salts",
+                  "_bucketed_group_apply"):
+        assert not _files_using(token), token

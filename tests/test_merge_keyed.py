@@ -1,0 +1,157 @@
+"""``merge_keyed``: every keyed fold answers the same on its driver
+branch and on its salted two-level distributed branch, which tests
+reach by setting ``KEYED_FOLD_BYTES`` to 0."""
+
+import logging
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+from miller_ray import verbs
+from miller_ray.engine import merge
+from miller_ray.engine.udaf import SketchSpec, build_grouped_sketches
+from miller_ray.sketches import HyperLogLog
+from miller_ray.stages import dedup
+
+
+@pytest.fixture(scope="module")
+def ds(ray_session):
+    import ray.data as rd
+
+    rng = np.random.default_rng(3)
+    n = 240
+    g = rng.choice(["a", "b", "c"], n).astype(object)
+    g[::7] = None  # a null group key: dropna=False on both branches
+    t = pa.table({"g": g, "v": rng.integers(0, 9, n).astype(np.float64),
+                  "y": rng.normal(size=n), "o": rng.permutation(n),
+                  "k": rng.choice(["p", "q"], n),
+                  "txt": [f"t{i % 50}" for i in range(n)], "id": np.arange(n)})
+    return rd.from_arrow([t.slice(i, 40) for i in range(0, n, 40)])
+
+
+def _group_sizes(out) -> pd.DataFrame:
+    # which n rows head/tail -g keep is arbitrary without an order
+    # column; how many each group keeps is not
+    return out.to_pandas().groupby("g", dropna=False).size().reset_index()
+
+
+def _estimates(out: pd.DataFrame) -> pd.DataFrame:
+    return out.assign(h=[h.estimate() for h in out["h"]])
+
+
+# site -> (answer on ds as a frame, whether the null group shows in it)
+SITES = {
+    "count": (lambda ds: verbs.count(ds, ["g"]), True),
+    "count_distinct_n": (
+        lambda ds: verbs.count_distinct(ds, ["g", "v"], n=True), False),
+    "grouped_stats": (lambda ds: verbs.stats1(
+        ds, ["count", "sum", "mean", "min", "max", "var"], ["v"], ["g"]), True),
+    "value_stats": (lambda ds: verbs.stats1(
+        ds, ["distinct_count", "mode", "antimode"], ["v"], ["g"]), True),
+    "sum_xy": (lambda ds: verbs.stats2(ds, ["cov"], [("v", "y")], ["g"]), True),
+    "grouped_sketches": (lambda ds: _estimates(build_grouped_sketches(
+        ds, ["g"], [SketchSpec.column("h", lambda: HyperLogLog(p=10), "id")])),
+        False),
+    # rank's sort path cannot sort null group keys yet: non-null g only
+    "rank": (lambda ds: verbs.rank(ds.filter(expr="is_valid(g)"), "v", ["g"])
+             .to_pandas(), False),
+    "head": (lambda ds: _group_sizes(verbs.head(ds, 2, ["g"])), True),
+    "head_by": (lambda ds: verbs.head(ds, 2, ["g"], order_by="o").to_pandas(), True),
+    "tail": (lambda ds: _group_sizes(verbs.tail(ds, 2, ["g"])), True),
+    "tail_by": (lambda ds: verbs.tail_by(ds, 2, "o", ["g"]).to_pandas(), True),
+    "nest_implode": (lambda ds: verbs.nest_implode(
+        ds.select_columns(["g", "txt"]), "txt", ["g"]).to_pandas(), True),
+    "reshape_long_to_wide": (lambda ds: verbs.reshape_long_to_wide(
+        ds.select_columns(["g", "k", "y"]), "k", "y", ["g"]).to_pandas(), False),
+    "exact_dedup": (lambda ds: dedup.exact_dedup(ds, ["txt"], "id").to_pandas(),
+                    False),
+}
+
+
+def _branches(caplog) -> set[str]:
+    return {r.getMessage().split("branch=")[1] for r in caplog.records
+            if r.getMessage().startswith("merge_keyed:")}
+
+
+def _canonical(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_branches_give_the_same_answer(ds, site, caplog, monkeypatch):
+    run, null_group = SITES[site]
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    driver = _canonical(run(ds))
+    assert _branches(caplog) == {"driver fold"}
+    caplog.clear()
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    dist = _canonical(run(ds))
+    assert _branches(caplog) == {"salted two-level merge"}
+    assert not driver.empty
+    if null_group:
+        assert driver["g"].isna().any()
+    pd.testing.assert_frame_equal(driver, dist, check_dtype=False)
+
+
+def test_value_stats_many_blocks_with_null_values(ray_session, monkeypatch):
+    # stats1 mode/antimode/distinct_count over 60 blocks, every fifth
+    # block's values all null; equals pandas on both branches
+    import ray.data as rd
+
+    rng = np.random.default_rng(8)
+    tables = []
+    for i in range(60):
+        v = rng.integers(0, 6, 20).astype(np.float64)
+        tables.append(pa.table({
+            "g": rng.choice(["a", "b", "c"], 20),
+            "v": pa.array(v, mask=np.full(20, i % 5 == 0))}))
+    ds = rd.from_arrow(tables)
+    pdf = pa.concat_tables(tables).to_pandas().dropna(subset=["v"])
+    counts = pdf.groupby(["g", "v"]).size().rename("n").reset_index()
+    mode = counts.sort_values(["n", "v"], ascending=[False, True]) \
+        .drop_duplicates("g").set_index("g")["v"]
+    anti = counts.sort_values(["n", "v"]).drop_duplicates("g").set_index("g")["v"]
+    want = pd.DataFrame({"v_distinct_count": pdf.groupby("g")["v"].nunique(),
+                         "v_mode": mode, "v_antimode": anti}).sort_index()
+    accs = ["distinct_count", "mode", "antimode"]
+    for fold_bytes in (merge.KEYED_FOLD_BYTES, 0):
+        monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", fold_bytes)
+        got = verbs.stats1(ds, accs, ["v"], ["g"]).set_index("g").sort_index()
+        pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                      check_names=False)
+
+
+def test_merge_keyed_logs_both_branches(ray_session, caplog, monkeypatch):
+    import ray.data as rd
+
+    t = pa.table({"g": ["a", "b", "a", None], "c": [1, 2, 3, 4]})
+    parts = rd.from_arrow([t.slice(0, 2), t.slice(2)])
+    combine = merge.aggregate_by(["g"])
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    small = merge.merge_keyed(parts, ["g"], combine)
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    big = merge.merge_keyed(parts, ["g"], combine)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("merge_keyed:")]
+    assert len(lines) == 2
+    assert "partial_blocks=2 " in lines[0] and lines[0].endswith("branch=driver fold")
+    assert lines[1].endswith("branch=salted two-level merge")
+    assert int(lines[0].split("bytes=")[1].split()[0]) > 0
+    assert isinstance(small, pa.Table)
+    assert _canonical(small.to_pandas()).equals(_canonical(big.to_pandas()))
+
+
+def test_key_hash_ignores_block_types():
+    # one key, typed differently by different blocks, lands in one bucket
+    a = pa.table({"k": pa.array([5, None], pa.int64()), "s": ["x", None]})
+    b = pa.table({"k": [5.0, float("nan")],
+                  "s": pa.array(["x", None], pa.large_string())})
+    c = pa.table({"k": [5.0, None], "s": pa.array(["x", None]).dictionary_encode()})
+    want = merge.key_hash(a, ["k", "s"])
+    assert want[0] != want[1]
+    for t in (b, c):
+        assert merge.key_hash(t, ["k", "s"]).tolist() == want.tolist()
+    nulls = pa.table({"k": pa.nulls(1), "s": pa.nulls(1)})
+    assert merge.key_hash(nulls, ["k", "s"]).tolist() == want[1:].tolist()

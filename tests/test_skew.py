@@ -7,6 +7,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from miller_ray.engine import merge
 from miller_ray.engine.udaf import SketchSpec, build_grouped_sketches
 from miller_ray.schema import HOT_SOURCE, generate_tokens_table
 from miller_ray.sketches import KLL, HyperLogLog
@@ -32,7 +33,7 @@ def test_grouped_sketches_correct_under_skew(skewed_ds):
         SketchSpec.column("hll_doc_id", lambda: HyperLogLog(p=14), "doc_id"),
         SketchSpec.column("kll_n_tok", lambda: KLL(k=200), "n_tok"),
     ]
-    out = build_grouped_sketches(ds, ["source"], specs, n_salts=8)
+    out = build_grouped_sketches(ds, ["source"], specs)
     pdf = t.to_pandas()
     exact = pdf.groupby("source")["doc_id"].nunique()
     assert set(out["source"]) == set(exact.index)
@@ -59,19 +60,20 @@ def test_partial_rows_bounded_by_groups_not_rows(skewed_ds):
     # build() inside build_grouped_sketches emits per-(block, group) rows;
     # verify via the public path: partial count equals blocks x groups at
     # most, far below row count
-    out = build_grouped_sketches(ds, ["source"], [spec], n_salts=4)
+    out = build_grouped_sketches(ds, ["source"], [spec])
     assert len(out) == t["source"].to_pandas().nunique()
 
 
-def test_distributed_grouped_merge_equals_driver_fold(skewed_ds):
-    """More than 5000 partial rows take the salted two-level merge
-    instead of the driver fold; HLL merges are exact (register max),
-    so both branches give the same per-group estimates."""
+def test_distributed_grouped_merge_equals_driver_fold(skewed_ds, monkeypatch):
+    """Partials measuring above KEYED_FOLD_BYTES take the salted
+    two-level merge instead of the driver fold; HLL merges are exact
+    (register max), so both branches give the same per-group
+    estimates."""
     ds = skewed_ds[0].limit(5100)
     spec = SketchSpec.column("h", lambda: HyperLogLog(p=10), "doc_id")
-    fold = build_grouped_sketches(ds, ["source"], [spec], n_salts=8)
-    dist = build_grouped_sketches(ds, ["source"], [spec], batch_size=1,
-                                  n_salts=8)  # one partial row per record
+    fold = build_grouped_sketches(ds, ["source"], [spec])
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    dist = build_grouped_sketches(ds, ["source"], [spec])
 
     def estimates(out):
         return {s: h.estimate() for s, h in zip(out["source"], out["h"])}
@@ -80,27 +82,29 @@ def test_distributed_grouped_merge_equals_driver_fold(skewed_ds):
 
 
 def test_hot_source_partials_spread_over_salts(skewed_ds):
-    """The salt is hashed from each partial's first blob, so the hot
-    source's per-block partials land on many salts, not one reducer."""
+    """The keyed merge's salt is hashed from each partial row's
+    content, so the hot source's per-block partials land on many salts,
+    not one reducer."""
     from miller_ray.engine.udaf import _grouped_partial_fn
 
     _, t = skewed_ds
-    n_salts, n_blocks = 16, 64
+    n_blocks = 64
     specs = [SketchSpec.column("hll_doc_id", lambda: HyperLogLog(p=14), "doc_id"),
              SketchSpec.column("kll_n_tok", lambda: KLL(k=200), "n_tok")]
-    build = _grouped_partial_fn(["source"], specs, n_salts)
+    build = _grouped_partial_fn(["source"], specs)
     per = -(-t.num_rows // n_blocks)
     salts = set()
     for i in range(0, t.num_rows, per):
-        part = build(t.slice(i, per)).to_pandas()
-        salts.update(part.loc[part["source"] == HOT_SOURCE, "__salt"])
-    assert len(salts) >= n_salts // 2, sorted(salts)
+        part = build(t.slice(i, per))
+        hot = part["source"].to_numpy(zero_copy_only=False) == HOT_SOURCE
+        salts.update(merge.row_salts(part)[hot].tolist())
+    assert len(salts) >= merge.MERGE_FANIN // 2, sorted(salts)
 
 
 def test_grouped_alias_spec_returns_its_target(skewed_ds):
     ds, _ = skewed_ds
     specs = [SketchSpec.column("h", lambda: HyperLogLog(p=10), "doc_id"),
              SketchSpec.alias("h2", "h")]
-    out = build_grouped_sketches(ds, ["source"], specs, n_salts=4)
+    out = build_grouped_sketches(ds, ["source"], specs)
     assert list(out.columns) == ["source", "h", "h2"]
     assert all(a is b for a, b in zip(out["h"], out["h2"]))

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 
 from miller_ray import verbs
+from miller_ray.engine import merge
 
 
 @pytest.fixture()
@@ -93,11 +94,19 @@ def test_top_grouped_raises_no_deprecation_warning(rd):
                                    "v_top": [3.0, 3.0, 7.0, 5.0]}
 
 
-def test_histogram_edges(rd):
+def test_histogram_edges(rd, caplog):
     # x == hi joins last bin; outside [lo, hi] dropped (histogram.go)
     t = pa.table({"x": [0.0, 4.999, 5.0, 10.0, -0.1, 10.1]})
     out = verbs.histogram(rd.from_arrow(t), ["x"], lo=0.0, hi=10.0, nbins=2)
     assert out["x_count"].tolist() == [2, 2]
+    # 20 blocks: merge_partials plans a combine level before the driver
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    x = np.append(np.random.default_rng(5).uniform(-1.0, 11.0, 2000), 10.0)
+    ds = rd.from_arrow([pa.table({"x": c}) for c in np.array_split(x, 20)])
+    out = verbs.histogram(ds, ["x"], lo=0.0, hi=10.0, nbins=7)
+    assert int(_merge_plans(caplog)[-1]["levels"]) >= 1
+    want = np.histogram(x, bins=7, range=(0.0, 10.0))[0]
+    assert out["x_count"].tolist() == want.tolist()
 
 
 def _merge_plans(caplog) -> list[dict[str, str]]:
@@ -165,8 +174,6 @@ def test_top_sample_tree_merge_many_blocks(rd, caplog):
 def test_merge_partials_fallback_without_estimate(rd, caplog, monkeypatch):
     # no pre-execution block estimate: the partials are materialized and
     # their measured block count plans the levels; answers unchanged
-    from miller_ray.engine import merge
-
     caplog.set_level(logging.DEBUG, logger="miller_ray")
     df, ds = _tree_merge_input(rd)
     want = verbs.top(ds, "v", n=3, group_by=["g"])
@@ -239,6 +246,13 @@ def test_sorted_merge_join(rd):
     pref = verbs.sorted_merge_join(stream, left, ["id"],
                                    lp="l_", rp="r_").to_pandas()
     assert "l_lv" in pref.columns and "r_sv" in pref.columns
+    # an int64 stream key pairs with the equal float64 left key over
+    # several blocks: buckets hash keys by value, not by pandas dtype
+    stream = rd.from_pandas([pd.DataFrame({"id": range(i, i + 10), "sv": "s"})
+                             for i in range(0, 40, 10)])
+    left = pd.DataFrame({"id": np.arange(0, 40, 3, dtype=np.float64), "lv": "l"})
+    out = verbs.sorted_merge_join(stream, left, ["id"]).to_pandas()
+    assert sorted(out["id"]) == left["id"].tolist()
 
 
 def _carry_cases(rd, df, k, pos):
@@ -431,7 +445,7 @@ def test_nest_implode_partial_preagg(rd):
     assert out.loc[1, "v"] == "d;k"
 
 
-def test_rank_sort_path_near_unique(rd):
+def test_rank_sort_path_near_unique(rd, monkeypatch):
     # VERDICT r04 #3: near-unique value columns must not broadcast a
     # data-sized lookup — force the sort-based path and check it
     # matches pandas method='min' AND preserves record order.
@@ -444,18 +458,22 @@ def test_rank_sort_path_near_unique(rd):
     })
     df.loc[rng.choice(n, 300, replace=False), "v"] = 0.25  # ties
     for case, df, ds, gb in _carry_cases(rd, df, 11, "row"):
-        out = verbs.rank(ds, "v", gb, broadcast_limit=0).to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(merge, "KEYED_FOLD_BYTES", 0)
+            out = verbs.rank(ds, "v", gb).to_pandas()
         assert (out["row"].to_numpy() == df["row"].to_numpy()).all(), case
         exp = df.groupby(gb)["v"].rank(method="min").astype(np.int64)
         assert (out["v_rank"].to_numpy() == exp.to_numpy()).all(), case
         # ungrouped agrees with the broadcast path
-        a = verbs.rank(ds, "v", [], broadcast_limit=0).to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(merge, "KEYED_FOLD_BYTES", 0)
+            a = verbs.rank(ds, "v", []).to_pandas()
         b = verbs.rank(ds, "v", []).to_pandas()
         assert (a["v_rank"].to_numpy() == b["v_rank"].to_numpy()).all(), \
             case
 
 
-def test_count_distinct_n_streaming(rd):
+def test_count_distinct_n_streaming(rd, monkeypatch):
     # VERDICT r04 #2: -n must not collect the distinct set; the
     # streaming branch (partials > threshold) returns the same number
     from miller_ray.verbs import _num_distinct
@@ -466,8 +484,9 @@ def test_count_distinct_n_streaming(rd):
     assert _num_distinct(ds, ["a", "b"]) == exact
     # force the above-threshold Dataset-groupby branches (the 100-TB
     # paths: grouped-count shuffle / never-collected distinct stream)
-    assert _num_distinct(ds, ["a", "b"], fold_limit=0) == exact
-    big = verbs.count(ds, ["a"], fold_limit=0)
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    assert _num_distinct(ds, ["a", "b"]) == exact
+    big = verbs.count(ds, ["a"])
     exp_a = df.groupby("a").size()
     assert big.set_index("a")["count"].sort_index().tolist() == exp_a.tolist()
     lz = verbs.count_lazy(ds, ["a"]).to_pandas()
@@ -479,7 +498,7 @@ def test_count_distinct_n_streaming(rd):
     assert ulc["count"].sum() == len(df)
 
 
-def test_empty_input_passes_through(rd):
+def test_empty_input_passes_through(rd, monkeypatch):
     # an empty Dataset must flow through every aggregate/filter verb
     # without KeyErrors from schema-less empty pandas frames
     import pyarrow as pa
@@ -493,9 +512,11 @@ def test_empty_input_passes_through(rd):
     assert len(verbs.top(empty, "v", n=3, group_by=["txt"])) == 0
     h = verbs.histogram(empty, ["v"], lo=0.0, hi=1.0, nbins=4)
     assert len(h) == 4 and h["v_count"].sum() == 0
+    assert len(verbs.stats1(empty, ["count", "mode"], ["v"], ["txt"])) == 0
+    assert len(verbs.stats2(empty, ["cov"], [("v", "id")], ["txt"])) == 0
     assert dedup.exact_dedup(empty, ["txt"], "id").count() == 0
-    assert dedup.exact_dedup(empty, ["txt"], "id",
-                             broadcast_limit=0).count() == 0
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    assert dedup.exact_dedup(empty, ["txt"], "id").count() == 0
 
 
 def test_grouped_percentiles_dense_refinement_path(rd):
