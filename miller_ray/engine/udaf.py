@@ -214,12 +214,13 @@ def _grouped_partial_fn(group_by: list[str], specs: list[SketchSpec]):
             sort=False)
         out_cols: dict[str, list] = {k: [] for k in group_by}
         out_cols.update({s.name: [] for s in specs})
+        # one take into group order (stable: rows keep their order
+        # within a group), then each group is a zero-copy slice of it
         order = np.argsort(codes, kind="stable")
-        bounds = np.searchsorted(codes[order], np.arange(len(key_rows)))
-        bounds = np.append(bounds, codes.size)
+        bounds = np.searchsorted(codes[order], np.arange(len(key_rows) + 1))
+        grouped = t.take(pa.array(order))
         for gi in range(len(key_rows)):
-            rows = order[bounds[gi] : bounds[gi + 1]]
-            sub = t.take(pa.array(rows))
+            sub = grouped.slice(bounds[gi], bounds[gi + 1] - bounds[gi])
             kv = key_rows[gi]
             if len(group_by) == 1:
                 out_cols[group_by[0]].append(kv)

@@ -8,6 +8,9 @@ state: no RNG in any update path, fixed seeds only.
   Steele et al., "Fast Splittable Pseudorandom Number Generators").
 - strings / arbitrary objects -> ``pandas.util.hash_array`` (SipHash-based,
   keyed with a fixed 16-byte key -> stable across processes and runs).
+  Arrow string/binary arrays of at least ``ARROW_KERNEL_MIN_ROWS`` rows
+  hash through ``_hash_arrow_strings``, a vectorized numpy SipHash whose
+  output is byte-identical; shorter ones go to pandas' C SipHash.
 
 Double hashing (Kirsch-Mitzenmacher) derives the i-th hash as
 ``h1 + i*h2`` which preserves Bloom/CMS guarantees with two base hashes.
@@ -21,6 +24,14 @@ import pyarrow as pa
 
 # fixed 16-byte key => pandas siphash output is stable across runs/processes
 _HASH_KEY = "miller_ray_00042"
+
+# Arrow string/binary arrays with fewer rows hash in pandas' C SipHash;
+# the numpy kernel's ~180 vector passes per distinct length only pay off
+# above it. scripts/hash_crossover.py, three runs on 1 CPU: the kernel
+# wins at every larger size from 12-24k rows, on unique 16-byte ids and
+# on an 8-value column alike; it is 5x (ids) and 15-30x (8 values)
+# slower at 313 rows, and 1.1-1.6x faster at 62.5k.
+ARROW_KERNEL_MIN_ROWS = 16_384
 
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
@@ -118,12 +129,13 @@ def _siphash24_words(words: np.ndarray) -> np.ndarray:
 
 def _hash_arrow_strings(arr: pa.Array) -> np.ndarray | None:
     """pd.util.hash_array-identical hashing straight off an Arrow
-    string/binary array's buffers — no per-row Python-object
-    materialization (the object path costs ~0.4 s per million 16-byte
-    ids; this path is one byte gather + ~40 vectorized uint64 ops).
+    string/binary array's buffers, with no per-row Python objects.
     Rows are grouped by byte length so each group hashes as a dense
-    (m, W)-word matrix. Returns None when the layout isn't eligible
-    (nulls, non-string) — caller falls back to the object path."""
+    (m, W)-word matrix, at ~180 numpy passes per distinct length: a
+    fixed cost that ``hash64`` only pays on arrays of at least
+    ``ARROW_KERNEL_MIN_ROWS`` rows. Returns None when the layout isn't
+    eligible (nulls, non-string, long or many-length text) — the caller
+    then hashes the object array in pandas."""
     import sys
 
     if sys.byteorder != "little" or arr.null_count:
@@ -162,6 +174,11 @@ def _hash_arrow_strings(arr: pa.Array) -> np.ndarray | None:
     return out
 
 
+def _is_bytes_like(t: pa.DataType) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
+
+
 def _as_numpy(values) -> np.ndarray:
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
@@ -181,16 +198,19 @@ def hash64(values, seed: int = 0) -> np.ndarray:
     other objects go through pandas' keyed SipHash. Distinct seeds give
     independent hash families.
 
-    Arrow string/binary columns take a vectorized buffer-level path
-    (byte-identical to the pandas object path, ~4x faster, no per-row
-    object materialization).
+    Arrow string/binary arrays hash off their object array in pandas'
+    C SipHash below ``ARROW_KERNEL_MIN_ROWS`` rows, and through the
+    byte-identical ``_hash_arrow_strings`` kernel from there (1.5x
+    faster than pandas at 62.5k rows of ids or categories).
     """
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
-    if isinstance(values, pa.Array):
-        h = _hash_arrow_strings(values)
-        if h is not None:
-            return splitmix64(h, seed=seed) if seed else h
+    if isinstance(values, pa.Array) and _is_bytes_like(values.type):
+        h = _hash_arrow_strings(values) if len(values) >= ARROW_KERNEL_MIN_ROWS else None
+        if h is None:
+            h = pd.util.hash_array(values.to_numpy(zero_copy_only=False),
+                                   hash_key=_HASH_KEY, categorize=False)
+        return splitmix64(h, seed=seed) if seed else h
     arr = _as_numpy(values)
     if arr.dtype.kind in ("i", "u"):
         return splitmix64(arr.astype(np.uint64, copy=False), seed=seed)

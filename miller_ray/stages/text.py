@@ -183,7 +183,9 @@ def domain_mix(ds, quotas: dict[str, float], id_col: str = "doc_id",
     def keep(t: pa.Table) -> pa.Table:
         col = t[id_col]
         if pa.types.is_integer(col.type):
-            key = pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False) % denom
+            # fmod keeps the dividend's sign, as SQL's % does (-7 % 100
+            # is -7); numpy's % takes the divisor's
+            key = np.fmod(pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False), denom)
         else:
             key = hash64(col) % np.uint64(denom)
         src = t[source_col].to_pandas()

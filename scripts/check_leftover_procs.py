@@ -3,8 +3,10 @@
 Snapshots the live pids from /proc (read-only), runs
 ``perfbench/run.py --workload WORKLOAD --seed 1 --seconds 12``, waits
 2 s, then prints every pid that was not there before and is still
-alive (zombies excluded), with its command line. Exits 1 if there is
-any, 0 otherwise.
+alive, with its command line. Zombies are excluded, and so are kernel
+threads (children of kthreadd, pid 2), which the kernel starts and
+stops on its own and which have an empty command line. Exits 1 if
+there is any, 0 otherwise.
 
 Usage: python scripts/check_leftover_procs.py WORKLOAD
 """
@@ -31,7 +33,8 @@ def live_pids() -> set[int]:
             stat = pathlib.Path(f"/proc/{name}/stat").read_text()
         except OSError:  # exited while listing
             continue
-        if stat.rsplit(")", 1)[1].split()[0] != "Z":
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if state != "Z" and ppid != "2":
             pids.add(int(name))
     return pids
 

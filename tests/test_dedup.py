@@ -1,5 +1,6 @@
 """Dedup stage correctness on constructed duplicates."""
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
@@ -280,6 +281,30 @@ def test_pii_redact_planted(rd):
     assert list(out["text"]) == [
         "contact <EMAIL> or <IP> ssn <SSN>", "no pii here at all"]
     assert list(out["n_redacted"]) == [3, 0]
+
+
+def test_domain_mix_negative_ids_match_duckdb(rd):
+    """SQL ``%`` keeps the dividend's sign (``-7 % 100`` is -7), so the
+    kept rows over negative ids must be the ones DuckDB keeps under the
+    ``domain_mix`` oracle's own predicate."""
+    import duckdb
+
+    from __ray_entry__ import oracle_sql
+    from miller_ray.stages import text as T
+
+    sql = oracle_sql()["domain_mix"]
+    pred = sql.split(" WHERE ", 1)[1].split(") SELECT ", 1)[0]
+    ids = np.arange(-250, 250, dtype=np.int64)
+    t = pa.table({"doc_id": ids,
+                  "source": [f"src{i % 10}" for i in range(ids.size)]})
+    quotas = {f"src{i}": (i % 5 + 1) * 0.15 for i in range(64)}
+    got = sorted(T.domain_mix(rd.from_arrow(t), quotas).to_pandas()["doc_id"])
+    con = duckdb.connect()
+    con.register("documents", t)
+    want = sorted(r[0] for r in con.execute(
+        f"SELECT doc_id FROM documents WHERE {pred}").fetchall())
+    assert any(i < 0 and i % 100 >= 15 for i in want)  # numpy's % drops these
+    assert got == want
 
 
 def test_topk_with_empty_blocks(rd):

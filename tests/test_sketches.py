@@ -340,3 +340,81 @@ def test_hash64_arrow_fast_path_matches_pandas():
     assert (hash64(sl) == hash64(pa.array(sl.to_pylist()))).all()
     # nulls fall back to the object path without raising
     assert len(hash64(pa.array(["a", None, "b"]))) == 3
+
+
+def _object_hash(arr, seed):
+    """What hash64 must return: pandas' keyed SipHash over the values as
+    Python objects, reseeded through splitmix64 for seed != 0."""
+    import pandas as pd
+
+    from miller_ray.hashing import _HASH_KEY, splitmix64
+
+    h = pd.util.hash_array(np.asarray(arr.to_pylist(), dtype=object),
+                           hash_key=_HASH_KEY, categorize=False)
+    return splitmix64(h, seed=seed) if seed else h
+
+
+def _string_layouts(n: int) -> dict:
+    """Arrow string/binary layouts of n rows: 16-byte ids mixed with
+    8 category values (the flagship's doc_id and source shapes)."""
+    import pyarrow as pa
+
+    from miller_ray.schema import SOURCES
+
+    rng = np.random.default_rng(n)
+    vals = [f"doc-{i:012d}" if i % 3 else SOURCES[i % 8]
+            for i in rng.permutation(n + 40).tolist()]
+    with_nulls = [None if i % 97 == 0 else v for i, v in enumerate(vals[:n])]
+    base = pa.array(vals[:n])
+    return {
+        "string": base,
+        "nulls": pa.array(with_nulls),
+        "large_string": pa.array(vals[:n], type=pa.large_string()),
+        "binary": pa.array([v.encode() for v in vals[:n]], type=pa.binary()),
+        "sliced": pa.array(vals).slice(40, n),
+        "chunked": pa.chunked_array([base.slice(0, 1000), base.slice(1000)]),
+    }
+
+
+def test_hash64_routes_arrow_strings_by_size(monkeypatch):
+    """Below ARROW_KERNEL_MIN_ROWS rows an Arrow string/binary array
+    hashes in pandas' C SipHash; from it on through the numpy kernel.
+    Both routes must equal pandas' object hash, at either side of the
+    constant, for every layout and seed."""
+    import pyarrow as pa
+
+    from miller_ray import hashing
+
+    kernel_rows = []
+    real_kernel = hashing._hash_arrow_strings
+
+    def counting_kernel(arr):
+        kernel_rows.append(len(arr))
+        return real_kernel(arr)
+
+    monkeypatch.setattr(hashing, "_hash_arrow_strings", counting_kernel)
+    k = hashing.ARROW_KERNEL_MIN_ROWS
+    for n in (k - 1, k):
+        for name, arr in _string_layouts(n).items():
+            for seed in (0, 5):
+                kernel_rows.clear()
+                got = hashing.hash64(arr, seed=seed)
+                assert got.dtype == np.uint64 and len(got) == n, (name, n)
+                assert (got == _object_hash(arr, seed)).all(), (name, n, seed)
+                assert kernel_rows == ([] if n < k else [n]), (name, n)
+    assert len(hashing.hash64(pa.array([], type=pa.string()))) == 0
+
+
+def test_hash64_shard_sized_strings_skip_the_kernel(monkeypatch):
+    """A one-shard batch (313 rows on the benchmark table) never enters
+    the vectorized kernel, and still hashes as pandas does."""
+    from miller_ray import hashing
+
+    def kernel(arr):
+        raise AssertionError("kernel entered below ARROW_KERNEL_MIN_ROWS")
+
+    arr = _string_layouts(313)["string"]
+    want = _object_hash(arr, 0)
+    monkeypatch.setattr(hashing, "_hash_arrow_strings", kernel)
+    assert (hashing.hash64(arr) == want).all()
+    assert (hashing.hash64(arr, seed=3) == _object_hash(arr, 3)).all()

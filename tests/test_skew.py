@@ -108,3 +108,48 @@ def test_grouped_alias_spec_returns_its_target(skewed_ds):
     out = build_grouped_sketches(ds, ["source"], specs)
     assert list(out.columns) == ["source", "h", "h2"]
     assert all(a is b for a, b in zip(out["h"], out["h2"]))
+
+
+def _split_cases():
+    import pyarrow.compute as pc
+
+    t = generate_tokens_table(600, seed=11)
+    # two chunks, so the split also crosses a chunk boundary
+    t = pa.concat_tables([t.slice(0, 250), t.slice(250)])
+    band = pc.cast(pc.divide(t["n_tok"], 200), pa.int64())
+    src = t["source"].to_pylist()
+    nulls = pa.array([None if i % 9 == 0 else s for i, s in enumerate(src)])
+    return {
+        "one key": (t, ["source"]),
+        "two keys": (t.append_column("band", band), ["source", "band"]),
+        "null key": (t.set_column(3, "source", nulls), ["source"]),
+    }
+
+
+@pytest.mark.parametrize("case", ["one key", "two keys", "null key"])
+def test_grouped_partials_equal_per_group_filter(case):
+    """Each group's partial blobs are those built over the group's rows
+    in their original order (``t.filter(key == g)``): the grouped build
+    splits a batch without reordering rows within a group. Rows with a
+    null key belong to no group."""
+    import pyarrow.compute as pc
+
+    from miller_ray.engine.udaf import _grouped_partial_fn, apply_spec, built_specs
+    from miller_ray.pipelines.tokens import default_specs
+
+    t, keys = _split_cases()[case]
+    specs = built_specs(default_specs(bloom_capacity=1000))
+    part = _grouped_partial_fn(keys, specs)(t)
+    groups = list(zip(*(part[k].to_pylist() for k in keys)))
+    want_groups = {g for g in zip(*(t[k].to_pylist() for k in keys)) if None not in g}
+    assert len(groups) == len(want_groups) and set(groups) == want_groups
+    for i, g in enumerate(groups):
+        mask = pc.equal(t[keys[0]], g[0])
+        for k, v in zip(keys[1:], g[1:]):
+            mask = pc.and_(mask, pc.equal(t[k], v))
+        sub = t.filter(mask)
+        cache: dict = {}
+        for s in specs:
+            sk = s.factory()
+            apply_spec(sk, s, sub, cache)
+            assert part[s.name][i].as_py() == sk.to_bytes(), (case, g, s.name)
