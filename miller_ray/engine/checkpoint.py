@@ -9,18 +9,19 @@ Ray-Data-native:
   parquet shards — stable identities, unlike Ray block ids which change
   with parallelism; SURVEY.md §7.4 "Resume layout").
 - One streaming pass over the *pending* files only
-  (``read_parquet(paths, include_paths=True)``): per-block partials are
-  grouped by source path inside the batch, then a tiny blob-only
-  ``groupby(path)`` merge yields ONE serialized sketch row per file.
+  (``read_parquet(paths, include_paths=True)``): the sketch builds'
+  partial function, keyed by ``path``, emits one partial row per
+  (block, file), and ``merge_keyed`` folds them to ONE serialized
+  sketch row per file, with the file's row count.
 - Each finished partition writes a blob file named by its content hash
   plus a manifest line ``{path, rows, blobs: {spec: file}, sha256}`` —
   appended atomically (write temp + rename of the whole manifest), so a
   killed run leaves either a valid manifest or the previous one.
 - Resume = re-list inputs, skip manifested partitions (blob present AND
-  hash matches), build only the remainder, merge all blobs. Because
-  sketch updates are deterministic per block (fixed-seed hashing, no
-  RNG), a resumed run's final sketch equals the single-run sketch
-  byte-for-byte.
+  hash matches), build only the remainder, then fold every partition's
+  blob files on the driver with ``merge_blobs``. Because sketch updates
+  are deterministic per block (fixed-seed hashing, no RNG), a resumed
+  run's final sketch equals the single-run sketch byte-for-byte.
 """
 
 from __future__ import annotations
@@ -32,11 +33,18 @@ from typing import Any
 
 import pyarrow as pa
 
-from miller_ray.engine.udaf import SketchSpec, _merge_fn, bind_aliases, built_specs
+from miller_ray.engine.merge import merge_keyed
+from miller_ray.engine.udaf import (SketchSpec, _merge_fn, _partial_fn, bind_aliases,
+                                    built_specs, merge_blobs)
 
 
 def _sha256(b: bytes) -> str:
     return hashlib.sha256(b).hexdigest()
+
+
+def _read(fp: str) -> bytes:
+    with open(fp, "rb") as f:
+        return f.read()
 
 
 def _manifest_path(ckpt_dir: str) -> str:
@@ -58,17 +66,9 @@ def load_manifest(ckpt_dir: str) -> dict[str, dict]:
                 e = json.loads(line)
             except json.JSONDecodeError:
                 continue  # torn tail line from a killed run
-            ok = True
-            for blob_file, digest in zip(e["blobs"].values(), e["sha256"].values()):
-                fp = os.path.join(ckpt_dir, blob_file)
-                if not os.path.exists(fp):
-                    ok = False
-                    break
-                with open(fp, "rb") as bf:
-                    if _sha256(bf.read()) != digest:
-                        ok = False
-                        break
-            if ok:
+            files = [os.path.join(ckpt_dir, f) for f in e["blobs"].values()]
+            if all(os.path.exists(fp) and _sha256(_read(fp)) == digest
+                   for fp, digest in zip(files, e["sha256"].values())):
                 out[e["path"]] = e
     return out
 
@@ -90,35 +90,8 @@ def _append_manifest(ckpt_dir: str, entries: list[dict]) -> None:
     os.replace(tmp, mp)
 
 
-def _partial_fn_by_path(specs: list[SketchSpec]):
-    """Per-batch: one partial-sketch row per source path in the batch."""
-
-    def build(t: pa.Table) -> pa.Table:
-        import numpy as np
-
-        paths = t["path"].to_pandas()
-        data = t.drop_columns(["path"])
-        out: dict[str, list] = {"path": []}
-        out.update({s.name: [] for s in specs})
-        codes, uniques = paths.factorize(sort=False)
-        for gi, p in enumerate(uniques):
-            sub = data.take(pa.array(np.flatnonzero(codes == gi)))
-            out["path"].append(p)
-            sub_cache: dict = {}
-            for spec in specs:
-                from miller_ray.engine.udaf import apply_spec
-
-                sk = spec.factory()
-                apply_spec(sk, spec, sub, sub_cache)
-                out[spec.name].append(sk.to_bytes())
-        out["rows"] = [int((codes == gi).sum()) for gi in range(len(uniques))]
-        return pa.table(out)
-
-    return build
-
-
 def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
-                       ckpt_dir: str, batch_size: int | None = 131072) -> dict[str, Any]:
+                       ckpt_dir: str) -> dict[str, Any]:
     """Build all sketches over ``input_paths``, checkpointing per file.
 
     Returns ``{spec_name: merged sketch}``. Safe to kill and re-run:
@@ -134,24 +107,14 @@ def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
 
     if pending:
         ds = rd.read_parquet(pending, include_paths=True)
-        parts = ds.map_batches(_partial_fn_by_path(built), batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=batch_size)
-        merge = _merge_fn(built)
-
-        def merge_path(t: pa.Table) -> pa.Table:
-            merged = merge(t.select([s.name for s in built]))
-            cols = {"path": [t["path"][0].as_py()],
-                    "rows": [int(pa.compute.sum(t["rows"]).as_py())]}
-            for s in built:
-                cols[s.name] = merged[s.name]
-            return pa.table(cols)
-
-        # blob-only shuffle: one row per (block, path) in, one per path out
-        finished = parts.groupby("path").map_groups(
-            merge_path, batch_format="pyarrow").take_all()
-
+        parts = ds.map_batches(_partial_fn(built, ["path"]), batch_format="pyarrow",
+                               zero_copy_batch=True, batch_size=131072)
+        merged = merge_keyed(parts, ["path"], _merge_fn(built, ["path"]))
+        # the distributed branch's merged rows stream block by block
+        batches = [merged] if isinstance(merged, pa.Table) else \
+            merged.iter_batches(batch_size=None, batch_format="pyarrow")
         entries = []
-        for row in finished:
+        for row in (row for b in batches for row in b.to_pylist()):
             blobs, hashes = {}, {}
             for s in built:
                 blob = row[s.name]
@@ -166,25 +129,17 @@ def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
                 os.replace(tmp, fp)
                 blobs[s.name] = fname
                 hashes[s.name] = digest
-            entries.append({"path": row["path"], "rows": int(row["rows"]),
+            entries.append({"path": row["path"], "rows": row["__rows"],
                             "blobs": blobs, "sha256": hashes})
         _append_manifest(ckpt_dir, entries)
         done.update({e["path"]: e for e in entries})
 
     # final driver-side fold over per-partition blobs (KB each)
-    out: dict[str, Any] = {}
-    for spec in built:
-        cls = type(spec.factory())
-        acc = None
-        for p in input_paths:
-            e = done.get(p)
-            if e is None:
-                continue
-            with open(os.path.join(ckpt_dir, e["blobs"][spec.name]), "rb") as f:
-                sk = cls.from_bytes(f.read())
-            acc = sk if acc is None else acc.merge(sk)
-        out[spec.name] = acc if acc is not None else spec.factory()
-    return bind_aliases(specs, out)
+    finished = [done[p]["blobs"] for p in input_paths if p in done]
+    return bind_aliases(specs, {
+        spec.name: merge_blobs(type(spec.factory()), (
+            _read(os.path.join(ckpt_dir, f[spec.name])) for f in finished))
+        if finished else spec.factory() for spec in built})
 
 
 def lineage_report(ckpt_dir: str) -> list[dict]:

@@ -4,10 +4,16 @@ The north-rule execution shape (BASELINE.json): per-block partial
 sketches built inside ``map_batches`` over zero-copy Arrow batches, then
 a merge over KB-sized serialized partials — the wide all-to-all
 shuffle a naive ``groupby`` would do never happens; only sketch blobs
-move. Every blob fold goes through ``merge_blobs``.
+move.
 
-- Global sketches: ``build_sketches`` -> one partial row per block ->
-  ``engine.merge.merge_partials`` with ``_merge_fn`` as the combiner:
+One partial function, ``_partial_fn(specs, keys)``, serves every build:
+per batch it emits one row per group of ``keys`` (one row without
+keys) holding the key values, the group's row count ``__rows`` and
+one blob per spec. ``_merge_fn`` groups rows by the same rule (a null
+key is one group), sums ``__rows`` and folds each group's blobs with
+``merge_blobs``, the one blob fold. Which fold runs depends on the build:
+
+- Global sketches: ``build_sketches`` -> ``engine.merge.merge_partials``:
   merge levels of ``MERGE_FANIN``-way combines while the block estimate
   is large, then one ``merge_blobs`` fold on the driver, all in one
   execution.
@@ -19,6 +25,9 @@ move. Every blob fold goes through ``merge_blobs``.
   key (one ``source`` = 90% of rows, FIXTURES F1) is absorbed at the
   partial stage (one row per block regardless of row skew) and its
   merge fan-in is split across salts.
+- Checkpointed sketches: ``engine.checkpoint.checkpointed_build`` keys
+  the partials by source file (``path``) and folds them through
+  ``merge_keyed`` as well.
 
 Builders are plain functions (stateless Ray tasks -> elastic, fusable).
 For expensive per-actor setup (shared broadcast state) pass an actor
@@ -141,42 +150,70 @@ def apply_spec(sk, spec: "SketchSpec", t: pa.Table, cache: dict) -> None:
     sk.update_batch(vals)
 
 
-def _partial_fn(specs: list[SketchSpec]):
+def _group_rows(t: pa.Table, keys: list[str]) -> list[np.ndarray]:
+    """Each group's row positions in ``t`` (ascending) by columns
+    ``keys``, a null key being one group: the one grouping rule of
+    ``_partial_fn`` and of ``_merge_fn``."""
+    return list(t.select(keys).to_pandas().groupby(
+        keys, sort=False, dropna=False).indices.values())
+
+
+def _partial_fn(specs: list[SketchSpec], keys=()):
+    """Batch -> one partial row per group of ``keys`` in the batch (one
+    row in all without ``keys``): the group's key values, its row count
+    ``__rows`` and one blob per spec."""
+    keys = list(keys)
+
     def build(t: pa.Table) -> pa.Table:
-        row: dict[str, list] = {}
-        cache: dict = {}
-        for spec in specs:
-            sk = spec.factory()
-            apply_spec(sk, spec, t, cache)
-            row[spec.name] = [sk.to_bytes()]
-        return pa.table(row)
+        if keys:
+            groups = _group_rows(t, keys)
+            out = {k: t[k].take(pa.array([g[0] for g in groups], pa.int64()))
+                   for k in keys}
+            # one take into group order (rows keep their order within a
+            # group), then each group is a zero-copy slice of it
+            grouped = t.take(np.concatenate([np.zeros(0, np.int64), *groups]))
+            starts = np.cumsum([0, *map(len, groups)])
+            subs = [grouped.slice(a, b - a) for a, b in zip(starts, starts[1:])]
+        else:
+            out, subs = {}, [t]
+        out["__rows"] = [sub.num_rows for sub in subs]
+        out.update({spec.name: [] for spec in specs})
+        for sub in subs:
+            cache: dict = {}
+            for spec in specs:
+                sk = spec.factory()
+                apply_spec(sk, spec, sub, cache)
+                out[spec.name].append(sk.to_bytes())
+        return pa.table(out)
 
     return build
 
 
 def merge_blobs(cls, blobs) -> Any:
-    """Deserialize a non-empty sequence of ``cls`` blobs and merge them
-    into one sketch — the one blob fold of the global build and of the
-    grouped build's keyed merge."""
-    acc = cls.from_bytes(blobs[0])
-    for b in blobs[1:]:
+    """Deserialize a non-empty iterable of ``cls`` blobs and merge them
+    into one sketch: the one blob fold of every build."""
+    blobs = iter(blobs)
+    acc = cls.from_bytes(next(blobs))
+    for b in blobs:
         acc.merge(cls.from_bytes(b))
     return acc
 
 
-def _merge_fn(specs: list[SketchSpec], keys: list[str] | None = None):
+def _merge_fn(specs: list[SketchSpec], keys=()):
     """Combiner over partial rows: one row per key (one row in all
-    without ``keys``) whose spec columns hold the merged blobs."""
+    without ``keys``) whose ``__rows`` is the sum of its partials' and
+    whose spec columns hold the merged blobs."""
     classes = {s.name: type(s.factory()) for s in specs}
-    keys = keys or []
+    keys = list(keys)
 
     def merge(t: pa.Table) -> pa.Table:
         if not t.num_rows:
             return t
-        groups = [range(t.num_rows)] if not keys else list(
-            t.select(keys).to_pandas().groupby(keys, sort=False, dropna=False)
-            .indices.values())
-        out = {k: t[k].take([g[0] for g in groups]) for k in keys}
+        groups = _group_rows(t, keys) if keys else [np.arange(t.num_rows)]
+        first = pa.array([g[0] for g in groups], pa.int64())
+        out = {k: t[k].take(first) for k in keys}
+        rows = t["__rows"].to_numpy()
+        out["__rows"] = [int(rows[g].sum()) for g in groups]
         for name, cls in classes.items():
             blobs = t[name].to_pylist()
             out[name] = [merge_blobs(cls, [blobs[i] for i in g]).to_bytes()
@@ -186,12 +223,11 @@ def _merge_fn(specs: list[SketchSpec], keys: list[str] | None = None):
     return merge
 
 
-def build_sketches(ds, specs: list[SketchSpec],
-                   batch_size: int | None = None) -> dict[str, Any]:
+def build_sketches(ds, specs: list[SketchSpec]) -> dict[str, Any]:
     """Build all specs in ONE pass over ds; returns {name: merged sketch}."""
     built = built_specs(specs)
     parts = ds.map_batches(_partial_fn(built), batch_format="pyarrow",
-                           zero_copy_batch=True, batch_size=batch_size)
+                           zero_copy_batch=True, batch_size=None)
     left = merge_partials(parts, _merge_fn(built))
     if not left.num_rows:  # empty input -> fresh (zero) sketches
         return bind_aliases(specs, {spec.name: spec.factory() for spec in built})
@@ -200,41 +236,6 @@ def build_sketches(ds, specs: list[SketchSpec],
     return bind_aliases(specs, {
         spec.name: merge_blobs(type(spec.factory()), left[spec.name].to_pylist())
         for spec in built})
-
-
-def _grouped_partial_fn(group_by: list[str], specs: list[SketchSpec]):
-    """Batch -> one partial row per group in the batch: the group keys
-    and one blob per spec."""
-
-    def build(t: pa.Table) -> pa.Table:
-        df_keys = t.select(group_by).to_pandas()
-        # group row-indices by key within the batch (vectorized factorize)
-        codes, key_rows = pd.factorize(
-            pd.MultiIndex.from_frame(df_keys) if len(group_by) > 1 else df_keys[group_by[0]],
-            sort=False)
-        out_cols: dict[str, list] = {k: [] for k in group_by}
-        out_cols.update({s.name: [] for s in specs})
-        # one take into group order (stable: rows keep their order
-        # within a group), then each group is a zero-copy slice of it
-        order = np.argsort(codes, kind="stable")
-        bounds = np.searchsorted(codes[order], np.arange(len(key_rows) + 1))
-        grouped = t.take(pa.array(order))
-        for gi in range(len(key_rows)):
-            sub = grouped.slice(bounds[gi], bounds[gi + 1] - bounds[gi])
-            kv = key_rows[gi]
-            if len(group_by) == 1:
-                out_cols[group_by[0]].append(kv)
-            else:
-                for k, v in zip(group_by, kv):
-                    out_cols[k].append(v)
-            sub_cache: dict = {}
-            for spec in specs:
-                sk = spec.factory()
-                apply_spec(sk, spec, sub, sub_cache)
-                out_cols[spec.name].append(sk.to_bytes())
-        return pa.table(out_cols)
-
-    return build
 
 
 def build_grouped_sketches(ds, group_by: list[str],
@@ -249,7 +250,7 @@ def build_grouped_sketches(ds, group_by: list[str],
     group does not serialize on one reducer (SURVEY.md §4 skew row).
     """
     built = built_specs(specs)
-    parts = ds.map_batches(_grouped_partial_fn(group_by, built),
+    parts = ds.map_batches(_partial_fn(built, group_by),
                            batch_format="pyarrow", zero_copy_batch=True)
     pdf = merge_keyed(parts, group_by, _merge_fn(built, group_by)).to_pandas()
     pdf = pdf.reindex(columns=[*group_by, *(s.name for s in built)])

@@ -27,8 +27,7 @@ import ray
 import ray.data as rd
 
 import miller_ray.engine.merge as M
-from miller_ray.engine.udaf import (SketchSpec, _grouped_partial_fn, _merge_fn,
-                                    built_specs)
+from miller_ray.engine.udaf import SketchSpec, _merge_fn, _partial_fn, built_specs
 from miller_ray.sketches import KLL, HyperLogLog
 
 NBLK = 64
@@ -49,7 +48,7 @@ def sum_parts(rng, mib: int):
 def sketch_parts(rng, mib: int):
     specs = built_specs([SketchSpec.column("hll", lambda: HyperLogLog(p=14), "v"),
                          SketchSpec.column("kll", lambda: KLL(k=200), "v")])
-    build = _grouped_partial_fn(["k"], specs)
+    build = _partial_fn(specs, ["k"])
     probe = build(pa.table({"k": np.zeros(2000, np.int64),
                             "v": rng.integers(0, 1 << 40, 2000)}))
     rows = max(1, (mib << 20) // probe.nbytes // NBLK)

@@ -1,12 +1,14 @@
 """Resume correctness (SURVEY.md §5 item 5): a run interrupted after k
 partitions, then re-run, yields the same result as a single run."""
 
+import logging
 import os
 
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from miller_ray.engine import merge
 from miller_ray.engine.checkpoint import checkpointed_build, lineage_report, load_manifest
 from miller_ray.engine.udaf import SketchSpec
 from miller_ray.schema import generate_tokens_table
@@ -43,6 +45,8 @@ def test_resume_equals_single_run(ray_session, token_files, tmp_path):
     resumed = checkpointed_build(token_files, _specs(), ck)
 
     assert single["hll_doc_id"].estimate() == resumed["hll_doc_id"].estimate()
+    for name in single:
+        assert single[name].to_bytes() == resumed[name].to_bytes(), name
     for p in (10, 50, 90, 99):
         assert abs(single["kll_n_tok"].quantile(p) - resumed["kll_n_tok"].quantile(p)) \
             <= 0.05 * max(1.0, single["kll_n_tok"].quantile(p))
@@ -55,6 +59,30 @@ def test_resume_equals_single_run(ray_session, token_files, tmp_path):
     rep = lineage_report(ck)
     assert [e["path"] for e in rep] == sorted(token_files)
     assert all(e["rows"] == 1500 for e in rep)
+
+
+def test_keyed_fold_branches_write_the_same_checkpoint(ray_session, token_files,
+                                                      tmp_path, caplog, monkeypatch):
+    """The per-file fold runs through ``merge_keyed``: its driver fold
+    and its salted two-level merge give the same manifest rows, blob
+    digests and merged sketches."""
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    runs = {}
+    for fold_bytes in (merge.KEYED_FOLD_BYTES, 0):
+        monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", fold_bytes)
+        caplog.clear()
+        ck = str(tmp_path / f"k{fold_bytes}")
+        out = checkpointed_build(token_files, _specs(), ck)
+        branch = {r.getMessage().split("branch=")[1] for r in caplog.records
+                  if r.getMessage().startswith("merge_keyed:")}
+        lineage = {e["path"]: (e["rows"], e["sha256"]) for e in lineage_report(ck)}
+        runs[fold_bytes] = (branch, lineage, {k: v.to_bytes() for k, v in out.items()})
+    (b1, lin1, sk1), (b2, lin2, sk2) = runs.values()
+    assert b1 == {"driver fold"} and b2 == {"salted two-level merge"}
+    assert sorted(lin1) == sorted(token_files)
+    assert all(rows == 1500 for rows, _ in lin1.values())
+    assert lin1 == lin2
+    assert sk1 == sk2
 
 
 def test_alias_spec_writes_no_blob(ray_session, token_files, tmp_path):

@@ -38,3 +38,14 @@ def test_keyed_fold_knobs_are_gone():
     for token in ("fold_limit", "broadcast_limit", "n_salts",
                   "_bucketed_group_apply"):
         assert not _files_using(token), token
+
+
+def test_sketch_builds_shuffle_no_dataset_themselves():
+    # the sketch builds fold only through merge_partials/merge_keyed:
+    # no map_groups, and their one groupby is on a pandas frame
+    for name in ("engine/udaf.py", "engine/checkpoint.py"):
+        for n in ast.walk(ast.parse((PKG / name).read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Attribute) and n.attr in ("groupby", "map_groups"):
+                on_pandas = n.attr == "groupby" and isinstance(n.value, ast.Call) \
+                    and getattr(n.value.func, "attr", None) == "to_pandas"
+                assert on_pandas, (name, n.lineno, n.attr)

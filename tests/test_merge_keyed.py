@@ -53,7 +53,7 @@ SITES = {
     "sum_xy": (lambda ds: verbs.stats2(ds, ["cov"], [("v", "y")], ["g"]), True),
     "grouped_sketches": (lambda ds: _estimates(build_grouped_sketches(
         ds, ["g"], [SketchSpec.column("h", lambda: HyperLogLog(p=10), "id")])),
-        False),
+        True),
     # rank's sort path cannot sort null group keys yet: non-null g only
     "rank": (lambda ds: verbs.rank(ds.filter(expr="is_valid(g)"), "v", ["g"])
              .to_pandas(), False),
@@ -93,6 +93,40 @@ def test_branches_give_the_same_answer(ds, site, caplog, monkeypatch):
     if null_group:
         assert driver["g"].isna().any()
     pd.testing.assert_frame_equal(driver, dist, check_dtype=False)
+
+
+def test_grouped_sketches_nulls_in_two_keys(ray_session, caplog, monkeypatch):
+    """Nulls in both of two group keys: each key combination, null ones
+    included, is one group whose sketch equals one built over its rows,
+    on both branches."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    n = 240
+    g = rng.choice(["a", "b"], n).astype(object)
+    g[::5] = None
+    t = pa.table({"g": g, "b": pa.array(rng.integers(0, 3, n), mask=np.arange(n) % 7 == 0),
+                  "id": np.arange(n)})
+    ds = rd.from_arrow([t.slice(i, 40) for i in range(0, n, 40)])
+    ids: dict[tuple, list] = {}
+    for r in t.to_pylist():
+        ids.setdefault((r["g"], r["b"]), []).append(r["id"])
+    assert (None, None) in ids
+    want = {}
+    for key, v in ids.items():
+        want[key] = HyperLogLog(p=10)
+        want[key].update_batch(np.array(v))
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    for fold_bytes, branch in ((merge.KEYED_FOLD_BYTES, "driver fold"),
+                               (0, "salted two-level merge")):
+        monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", fold_bytes)
+        caplog.clear()
+        out = build_grouped_sketches(
+            ds, ["g", "b"], [SketchSpec.column("h", lambda: HyperLogLog(p=10), "id")])
+        assert _branches(caplog) == {branch}
+        got = {tuple(None if pd.isna(x) else x for x in key): h.to_bytes()
+               for *key, h in out.itertuples(index=False)}
+        assert got == {key: h.to_bytes() for key, h in want.items()}, branch
 
 
 def test_value_stats_many_blocks_with_null_values(ray_session, monkeypatch):

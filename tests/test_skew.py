@@ -85,13 +85,13 @@ def test_hot_source_partials_spread_over_salts(skewed_ds):
     """The keyed merge's salt is hashed from each partial row's
     content, so the hot source's per-block partials land on many salts,
     not one reducer."""
-    from miller_ray.engine.udaf import _grouped_partial_fn
+    from miller_ray.engine.udaf import _partial_fn
 
     _, t = skewed_ds
     n_blocks = 64
     specs = [SketchSpec.column("hll_doc_id", lambda: HyperLogLog(p=14), "doc_id"),
              SketchSpec.column("kll_n_tok", lambda: KLL(k=200), "n_tok")]
-    build = _grouped_partial_fn(["source"], specs)
+    build = _partial_fn(specs, ["source"])
     per = -(-t.num_rows // n_blocks)
     salts = set()
     for i in range(0, t.num_rows, per):
@@ -131,23 +131,26 @@ def test_grouped_partials_equal_per_group_filter(case):
     """Each group's partial blobs are those built over the group's rows
     in their original order (``t.filter(key == g)``): the grouped build
     splits a batch without reordering rows within a group. Rows with a
-    null key belong to no group."""
+    null key form one group (``t.filter(is_null(key))``)."""
     import pyarrow.compute as pc
 
-    from miller_ray.engine.udaf import _grouped_partial_fn, apply_spec, built_specs
+    from miller_ray.engine.udaf import _partial_fn, apply_spec, built_specs
     from miller_ray.pipelines.tokens import default_specs
 
     t, keys = _split_cases()[case]
     specs = built_specs(default_specs(bloom_capacity=1000))
-    part = _grouped_partial_fn(keys, specs)(t)
+    part = _partial_fn(specs, keys)(t)
     groups = list(zip(*(part[k].to_pylist() for k in keys)))
-    want_groups = {g for g in zip(*(t[k].to_pylist() for k in keys)) if None not in g}
+    want_groups = set(zip(*(t[k].to_pylist() for k in keys)))
     assert len(groups) == len(want_groups) and set(groups) == want_groups
+    if case == "null key":
+        assert (None,) in want_groups
     for i, g in enumerate(groups):
-        mask = pc.equal(t[keys[0]], g[0])
+        mask = pc.is_null(t[keys[0]]) if g[0] is None else pc.equal(t[keys[0]], g[0])
         for k, v in zip(keys[1:], g[1:]):
             mask = pc.and_(mask, pc.equal(t[k], v))
         sub = t.filter(mask)
+        assert part["__rows"][i].as_py() == sub.num_rows, (case, g)
         cache: dict = {}
         for s in specs:
             sk = s.factory()
