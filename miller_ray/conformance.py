@@ -5830,7 +5830,7 @@ def _exec_join(a: list[str], df: pd.DataFrame):
                 ul_out.append(lr)
     else:
         # genuinely key-sorted inputs run through the ENGINE op
-        # (verbs.sorted_merge_join: tag-union + per-key map_groups);
+        # (verbs.sorted_merge_join: one co-partitioned bucket_apply);
         # the bucket-keeper simulation below only covers the
         # scrambled-input fixtures whose missed-pair output is an
         # input-order artifact of the reference's streaming keeper

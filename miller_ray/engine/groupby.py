@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from miller_ray.engine import exact
-from miller_ray.engine.merge import aggregate_by, merge_keyed
+from miller_ray.engine.merge import aggregate_by, bucket_apply, merge_keyed
 
 _DUMMY = "__g"
 
@@ -652,8 +652,12 @@ def _grouped_percentiles_obj(sub, group_by, field, ps, interpolated,
         return pd.DataFrame(out)
 
     if group_by:
-        return sub.groupby(group_by).map_groups(
-            per_group, batch_format="pandas").to_pandas()
+        def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+            return pd.concat([per_group(g) for _, g in df.groupby(
+                group_by, sort=False, dropna=False)], ignore_index=True)
+
+        return bucket_apply([sub], group_by, per_bucket,
+                            batch_format="pandas").to_pandas()
     allv = [v for b in sub.iter_batches(batch_format="pyarrow")
             for v in b[field].to_pylist()]
     vals = exact.miller_sorted(allv)

@@ -28,8 +28,14 @@ Billions of Datasets, SIGMOD 2019, plans its merges the same way).
   once; their measured bytes choose the branch. Up to
   ``KEYED_FOLD_BYTES`` they are folded by one ``combine`` on the
   driver. Above it they stay distributed: a salted two-level keyed
-  merge over O(buckets) tasks, where a hot key's partials first spread
-  over ``MERGE_FANIN`` salts.
+  merge, each level one ``bucket_apply``, where a hot key's partials
+  first spread over ``MERGE_FANIN`` salts.
+
+``bucket_apply`` is the package's keyed shuffle: one hash exchange on
+plain Ray tasks that co-partitions any number of inputs by the same key
+hash and calls a group-wise function once per bucket. The keyed folds,
+the shuffle join, ``join -s``, exact dedup's semi-join and the grouped
+mixed-type percentiles all run on it.
 """
 
 from __future__ import annotations
@@ -145,30 +151,87 @@ def row_salts(t: pa.Table) -> np.ndarray:
     return (key_hash(t, t.column_names) % np.uint64(MERGE_FANIN)).astype(np.int64)
 
 
-def bucket_apply(ds, keys: list[str], fn: Callable,
+def _salted(block) -> pa.Table:
+    """``block`` as an Arrow table with its ``row_salts`` appended as
+    ``__salt``; a plain task, so an empty block keeps its columns."""
+    t = block if isinstance(block, pa.Table) else \
+        pa.Table.from_pandas(block, preserve_index=False)
+    return t.append_column("__salt", pa.array(row_salts(t)))
+
+
+def _split(block, keys: list[str], nb: int) -> list:
+    """``block``'s rows cut into ``nb`` pieces by ``key_hash(keys) % nb``,
+    with one ``take``. An empty block (which may carry no columns) is
+    its own empty piece for every bucket."""
+    if not len(block):
+        return [block] * nb
+    kt = block if isinstance(block, pa.Table) else \
+        pa.Table.from_pandas(block[keys], preserve_index=False)
+    bkt = key_hash(kt, keys) % np.uint64(nb)
+    order = np.argsort(bkt, kind="stable")
+    cuts = np.searchsorted(bkt[order], np.arange(nb + 1, dtype=np.uint64)).tolist()
+    rows = block.take(order)
+    return [rows[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _batch(pieces: list, batch_format: str):
+    """One input's pieces of a bucket as one ``batch_format`` batch.
+    Arrow pieces concatenate to the union of their schemas (an all-null
+    block types a column ``null``; an empty one may have no columns)."""
+    if all(isinstance(p, pa.Table) for p in pieces):
+        t = pa.concat_tables(pieces, promote_options="permissive") \
+            if pieces else pa.table({})
+        return t.to_pandas() if batch_format == "pandas" else t
+    dfs = [p if isinstance(p, pd.DataFrame) else p.to_pandas() for p in pieces]
+    df = pd.concat([d for d in dfs if len(d)] or dfs[:1], ignore_index=True)
+    return df if batch_format == "pandas" else \
+        pa.Table.from_pandas(df, preserve_index=False)
+
+
+def _reduce(fn: Callable, batch_format: str, sizes: list[int], *pieces):
+    """One bucket: ``fn`` over one batch per input (``sizes`` counts
+    each input's pieces), and its row count. A bucket without rows
+    skips ``fn`` and yields an empty batch."""
+    batches, i = [], 0
+    for n in sizes:
+        batches.append(_batch(list(pieces[i:i + n]), batch_format))
+        i += n
+    out = fn(*batches) if any(len(b) for b in batches) else batches[0]
+    return out, len(out)
+
+
+def bucket_apply(inputs: list, keys: list[str], fn: Callable,
                  batch_format: str = "pyarrow"):
-    """Apply the group-wise ``fn`` to ``ds`` with every key's rows
-    together, in O(buckets) tasks: rows are tagged bucket =
-    ``key_hash(keys)`` mod 2 × CPUs, and ``fn`` gets one bucket's rows
-    (every key of it whole) as a ``batch_format`` batch. A per-key
-    ``groupby(keys).map_groups`` would pay one call per distinct key."""
+    """Apply the group-wise ``fn`` to the Datasets ``inputs`` with every
+    key's rows together, and return its outputs as a Dataset.
+
+    One hash exchange on Ray tasks, 2 × CPUs buckets: each input runs
+    once (``block_refs``); one task per block orders its rows by bucket
+    = ``key_hash(keys)`` mod buckets and returns one piece per bucket;
+    one task per bucket then calls ``fn`` once, with one
+    ``batch_format`` batch per input holding that bucket's rows of it
+    (possibly none, but never none in all). The inputs share the hash,
+    so they are co-partitioned: a key's rows from every input meet in
+    one call, as a join needs. Buckets whose output has no rows are
+    left out of the result, so an empty output's schema never clashes
+    with the others'. The number of tasks grows with blocks and CPUs,
+    never with distinct keys, and nothing sorts the keys, so null keys
+    are keys like any other."""
     import ray
+    import ray.data as rd
 
-    nb = np.uint64(max(2, 2 * int(ray.cluster_resources().get("CPU", 1))))
-
-    def tag(b):
-        t = b if isinstance(b, pa.Table) else \
-            pa.Table.from_pandas(b[keys], preserve_index=False)
-        bkt = (key_hash(t, keys) % nb).astype(np.int64)
-        return b.append_column("__bkt", pa.array(bkt)) \
-            if isinstance(b, pa.Table) else b.assign(__bkt=bkt)
-
-    def apply(b):
-        return fn(b.drop_columns(["__bkt"]) if isinstance(b, pa.Table)
-                  else b.drop(columns="__bkt"))
-
-    return (ds.map_batches(tag, batch_format=batch_format)
-              .groupby("__bkt").map_groups(apply, batch_format=batch_format))
+    nb = max(2, 2 * int(ray.cluster_resources().get("CPU", 1)))
+    split = ray.remote(_split).options(num_returns=nb)
+    pieces = [[split.remote(ref, keys, nb) for ref in block_refs(ds)[0]]
+              for ds in inputs]
+    reduce, fn_ref = ray.remote(_reduce).options(num_returns=2), ray.put(fn)
+    sizes = [len(p) for p in pieces]
+    outs = [reduce.remote(fn_ref, batch_format, sizes,
+                          *(blk[b] for p in pieces for blk in p))
+            for b in range(nb)]
+    rows = ray.get([n for _, n in outs])
+    return rd.from_arrow_refs([o for (o, _), n in zip(outs, rows) if n]
+                              or [outs[0][0]])
 
 
 def merge_keyed(parts, keys: list[str], combine: Callable):
@@ -201,13 +264,10 @@ def merge_keyed(parts, keys: list[str], combine: Callable):
             return blocks[0] if blocks else pa.table({})
         return combine(pa.concat_tables(full, promote_options="permissive"))
 
-    def salt(t: pa.Table) -> pa.Table:
-        return t.append_column("__salt", pa.array(row_salts(t)))
-
-    lvl1 = bucket_apply(
-        rd.from_arrow_refs(refs).map_batches(salt, batch_format="pyarrow"),
-        [*keys, "__salt"], lambda t: combine(t.drop_columns(["__salt"])))
-    return bucket_apply(lvl1, keys, combine)
+    salted = rd.from_arrow_refs([ray.remote(_salted).remote(r) for r in refs])
+    lvl1 = bucket_apply([salted], [*keys, "__salt"],
+                        lambda t: combine(t.drop_columns(["__salt"])))
+    return bucket_apply([lvl1], keys, combine)
 
 
 def pandas_combine(fn: Callable[[pd.DataFrame], pd.DataFrame]):

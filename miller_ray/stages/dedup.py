@@ -47,8 +47,8 @@ def exact_dedup(ds, content_cols: list[str], id_col: str, keep: str = "min"):
     # winner: full-row duplicates with the same id must still emit ONE
     # output row, and per-batch drop_duplicates cannot see cross-block
     # copies) then ``merge_keyed`` by hash; NEVER a per-group Python
-    # call (a map_groups per hash would pay one call per distinct
-    # content — the whole corpus).
+    # call (a per-hash call would pay one call per distinct content —
+    # the whole corpus).
     agg_col = f"{id_col}_{keep}"
 
     def local_winner(t: pa.Table) -> pa.Table:
@@ -129,47 +129,21 @@ def exact_dedup(ds, content_cols: list[str], id_col: str, keep: str = "min"):
 def _bucketed_semijoin(hashed, winners, content_cols: list[str], id_col: str,
                        agg_col: str):
     """exact_dedup's stage 2 when the winners stay distributed: a
-    BUCKETED semi-join instead of Dataset.join. Data rows and winner
-    rows share one union schema (winners carry only ``__h`` and
-    ``__wid``), and ``bucket_apply`` co-locates every row of one content
-    hash: O(buckets) Python calls, each holding ~1/buckets of the
-    corpus, and same-(hash, id) duplicates dedupe EXACTLY there.
-    (Dataset.join was also observed to deadlock when num_partitions
-    exceeds ~4x schedulable cores, and to raise ArrowInvalid on empty
-    right partitions — the bucket join has neither failure mode.)"""
-    data_types = dict(zip(hashed.schema().names, hashed.schema().types))
-    ucols = [*data_types, "__wid"]
+    BUCKETED semi-join. ``bucket_apply`` co-partitions the data rows and
+    the winner rows by content hash, so each bucket call holds every row
+    of its hashes with their winners: O(buckets) Python calls, each
+    holding ~1/buckets of the corpus, and same-(hash, id) duplicates
+    dedupe EXACTLY there."""
 
-    def pad_rows(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__wid", pa.nulls(t.num_rows, data_types[id_col])).select(ucols)
-
-    def pad_wins(t: pa.Table) -> pa.Table:
-        cols = {c: pa.nulls(t.num_rows, ty) for c, ty in data_types.items()}
-        cols["__h"], cols["__wid"] = t["__h"], t[agg_col].cast(data_types[id_col])
-        return pa.table(cols).select(ucols)
-
-    def semijoin(g: pd.DataFrame) -> pd.DataFrame:
-        wmask = g["__wid"].notna()
-        w, rows = g[wmask], g[~wmask]
+    def semijoin(rows: pd.DataFrame, w: pd.DataFrame) -> pd.DataFrame:
         keepm = pd.MultiIndex.from_arrays([rows["__h"], rows[id_col]]).isin(
-            pd.MultiIndex.from_arrays([w["__h"], w["__wid"]]))
+            pd.MultiIndex.from_arrays([w["__h"], w[agg_col]]))
         # one output row per content: same-(h, id) full-row dups
         # collapse here (whole hash lives in this bucket); true
         # hash collisions are disambiguated by content equality
-        out = rows[keepm].drop_duplicates(subset=content_cols)
-        out = out[[c for c in data_types if c != "__h"]].copy()
-        # the union's null padding promoted int columns to float in
-        # this pandas group — restore the input dtypes
-        for c in out.columns:
-            if pa.types.is_integer(data_types[c]) and \
-                    out[c].dtype != np.int64:
-                out[c] = out[c].astype(np.int64)
-        return out
+        return rows[keepm].drop_duplicates(subset=content_cols).drop(columns="__h")
 
-    u = hashed.map_batches(pad_rows, batch_format="pyarrow").union(
-        winners.map_batches(pad_wins, batch_format="pyarrow"))
-    return bucket_apply(u, ["__h"], semijoin, batch_format="pandas")
+    return bucket_apply([hashed, winners], ["__h"], semijoin, batch_format="pandas")
 
 
 def _keep_multi_member_buckets(ds, keys: list[str], return_counts: bool = False):

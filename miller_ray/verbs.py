@@ -32,8 +32,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from miller_ray.engine.groupby import grouped_percentiles, grouped_stats
-from miller_ray.engine.merge import (aggregate_by, bucket_apply, merge_keyed,
-                                     merge_partials, pandas_combine)
+from miller_ray.engine import merge as engine_merge
+from miller_ray.engine.merge import (aggregate_by, block_refs, bucket_apply,
+                                     key_hash, merge_keyed, merge_partials,
+                                     pandas_combine)
 from miller_ray.engine.scan import group_index, ordered_scan, running_carries
 
 _MOMENT_ACCS = {"count", "null_count", "sum", "mean", "min", "max", "var",
@@ -53,19 +55,23 @@ def _keyed_dataset(parts, keys: list[str], combine):
 # counting / distinctness  (count.go, uniq.go)
 # ---------------------------------------------------------------------------
 
+def _count_parts(ds, keys: list[str]):
+    """Per-block partial ``count -g keys``: one (keys, count_all) row
+    per (block, group), for ``merge_keyed`` by ``aggregate_by(keys)``."""
+    def partial(t: pa.Table) -> pa.Table:
+        out = t.group_by(keys).aggregate([([], "count_all")])
+        return out.select(sorted(out.column_names))
+
+    return ds.select_columns(keys).map_batches(partial, batch_format="pyarrow")
+
+
 def count(ds, group_by: list[str] | None = None,
           output_name: str = "count") -> pd.DataFrame:
     """Verb ``count`` (count.go): record count, optionally per group."""
     if not group_by:
         return pd.DataFrame({output_name: [ds.count()]})
-    # pre-aggregate per block, then merge: one row per (block, group)
-    def partial(t: pa.Table) -> pa.Table:
-        out = t.group_by(group_by).aggregate([([], "count_all")])
-        return out.select(sorted(out.column_names))
-
-    parts = ds.select_columns(group_by).map_batches(
-        partial, batch_format="pyarrow")
-    out = merge_keyed(parts, group_by, aggregate_by(group_by)).to_pandas()
+    out = merge_keyed(_count_parts(ds, group_by), group_by,
+                      aggregate_by(group_by)).to_pandas()
     if out.empty:  # empty input loses its schema through to_pandas
         return pd.DataFrame({**{g: [] for g in group_by},
                              output_name: pd.Series(dtype=np.int64)})
@@ -97,27 +103,20 @@ def count_lazy(ds, group_by: list[str], output_name: str = "count"):
     """Dataset-returning ``count -g`` for output-sized results: when the
     grouped count is itself big data (e.g. per-doc_id counts over 10^12
     rows), the result must stay a distributed Dataset the caller can
-    ``write_parquet`` — never a driver DataFrame. Per-block partial
-    count, then a Dataset groupby-Sum shuffle over the (much smaller)
-    partials."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = t.group_by(group_by).aggregate([([], "count_all")])
-        return out.select(sorted(out.column_names))
-
-    parts = ds.select_columns(group_by).map_batches(
-        partial, batch_format="pyarrow")
-    return parts.groupby(group_by).aggregate(
-        Sum("count_all", alias_name=output_name))
+    ``write_parquet`` — never a driver DataFrame. ``count``'s per-block
+    partials through ``merge_keyed``, with columns ``[*group_by,
+    output_name]``."""
+    return _keyed_dataset(_count_parts(ds, group_by), group_by,
+                          aggregate_by(group_by)).rename_columns(
+        {"count_all": output_name}).select_columns([*group_by, output_name])
 
 
 def uniq_lazy(ds, fields: list[str], show_counts: bool = False):
     """Dataset-returning ``uniq -g`` / ``count-distinct -f`` for
     output-sized results (billions of distinct combos over 10^12
     rows): the distinct set stays a distributed Dataset the caller can
-    ``write_parquet`` — never a driver DataFrame. Same partial-count +
-    grouped-Sum shape as :func:`count_lazy`."""
+    ``write_parquet`` — never a driver DataFrame. Runs
+    :func:`count_lazy`."""
     out = count_lazy(ds, fields)
     return out if show_counts else out.select_columns(fields)
 
@@ -239,24 +238,33 @@ def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.Da
     merged = merge_keyed(parts, gcols, aggregate_by(gcols))
     cand_cols = keys + ["__mode_v", "__mode_n", "__anti_v", "__anti_n", "__dc"]
 
+    kk = keys or ["__g"]
+
+    def best(df: pd.DataFrame, v: str, n: str, desc: bool) -> pd.DataFrame:
+        return (df.sort_values([n, v], ascending=[not desc, True])
+                  .drop_duplicates(subset=kk))
+
+    def pick(df: pd.DataFrame, mode: tuple, anti: tuple, dc: tuple):
+        # one row per group: mode (count desc, then value asc), antimode
+        # (count asc, then value asc) and distinct count. Both sides of
+        # the key merge are row subsets of df, so they share its key
+        # dtype (a separate groupby(...).size() frame types an all-null
+        # key float64, and pandas refuses that merge)
+        df = df if keys else df.assign(__g=0)
+        df = df.assign(__dc=df.groupby(kk, sort=False, dropna=False)[dc[0]]
+                       .transform(dc[1]))
+        m = best(df, *mode, desc=True)[[*kk, *mode, "__dc"]].set_axis(
+            [*kk, "__mode_v", "__mode_n", "__dc"], axis=1)
+        a = best(df, *anti, desc=False)[[*kk, *anti]].set_axis(
+            [*kk, "__anti_v", "__anti_n"], axis=1)
+        return m.merge(a, on=kk)[cand_cols]
+
     def candidates(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
             return pd.DataFrame({c: pd.Series(dtype=object) if c.endswith("_v")
                                  or c in keys else pd.Series(dtype=np.int64)
                                  for c in cand_cols})
-        kk = keys or ["__g"]
-        if not keys:
-            df = df.assign(__g=0)
-        m = (df.sort_values(["__n", field], ascending=[False, True])
-               .drop_duplicates(subset=kk))
-        a = (df.sort_values(["__n", field], ascending=[True, True])
-               .drop_duplicates(subset=kk))
-        dc = df.groupby(kk, sort=False, dropna=False).size().reset_index(name="__dc")
-        out = m[kk + [field, "__n"]].rename(
-            columns={field: "__mode_v", "__n": "__mode_n"})
-        out = out.merge(a[kk + [field, "__n"]].rename(
-            columns={field: "__anti_v", "__n": "__anti_n"}), on=kk)
-        return out.merge(dc, on=kk)[cand_cols]
+        return pick(df, (field, "__n"), (field, "__n"), (field, "size"))
 
     def combine_cands(df: pd.DataFrame) -> pd.DataFrame:
         # combiner over candidate rows (one per block × group): winner
@@ -264,26 +272,8 @@ def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.Da
         # (group, value) when candidates are formed
         if df.empty:
             return df
-        if not keys:
-            m = df.sort_values(["__mode_n", "__mode_v"],
-                               ascending=[False, True]).head(1)
-            a = df.sort_values(["__anti_n", "__anti_v"],
-                               ascending=[True, True]).head(1)
-            out = m[["__mode_v", "__mode_n"]].reset_index(drop=True)
-            out[["__anti_v", "__anti_n"]] = \
-                a[["__anti_v", "__anti_n"]].reset_index(drop=True)
-            out["__dc"] = df["__dc"].sum()
-            return out[cand_cols]
-        m = df.sort_values(["__mode_n", "__mode_v"],
-                           ascending=[False, True]).drop_duplicates(subset=keys)
-        a = df.sort_values(["__anti_n", "__anti_v"],
-                           ascending=[True, True]).drop_duplicates(subset=keys)
-        dc = df.groupby(keys, sort=False, dropna=False)["__dc"] \
-               .sum().reset_index()
-        out = (m[keys + ["__mode_v", "__mode_n"]]
-               .merge(a[keys + ["__anti_v", "__anti_n"]], on=keys)
-               .merge(dc, on=keys))
-        return out[cand_cols]
+        return pick(df, ("__mode_v", "__mode_n"), ("__anti_v", "__anti_n"),
+                    ("__dc", "sum"))
 
     # a driver fold's counts are all there is: one candidate per group
     cand = candidates(merged.to_pandas()) if isinstance(merged, pa.Table) \
@@ -705,11 +695,11 @@ def sample(ds, k: int, seed: int = 42, group_by: list[str] | None = None) -> pd.
     group_by = group_by or []
 
     def prioritize(t: pa.Table) -> pa.Table:
-        # deterministic pseudo-random priority from row content hash
+        # deterministic pseudo-random priority from the row's content
+        # (every column, so distinct rows do not tie: a tie would be
+        # broken by the order the partials arrive in) and its position
         h = hash64(pa.array(np.arange(t.num_rows)), seed=seed)
-        first_col = t.column_names[0]
-        base = hash64(t[first_col], seed=seed)
-        pri = (base ^ h).astype(np.float64) / 2**64
+        pri = (key_hash(t, t.column_names) ^ h).astype(np.float64) / 2**64
         return t.append_column("__pri", pa.array(pri))
 
     parts = ds.map_batches(prioritize, batch_format="pyarrow")
@@ -1066,19 +1056,13 @@ def rank(ds, field: str, group_by: list[str] | None = None,
     # reduction keyed by (group..., value) — small relative to the
     # data whenever values repeat — then a driver-side cumsum per
     # group and a broadcast map back over the stream. No per-group
-    # map_groups: a hot group never lands on one reducer. When values
+    # call: a hot group never lands on one reducer. When values
     # DON'T repeat (near-unique/continuous columns) the lookup table
     # is data-sized: merge_keyed then measures the value counts large
     # and returns a Dataset, and rank takes the sort-based path instead
     # of an unbounded broadcast.
     keys = group_by + [field]
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = t.group_by(keys).aggregate([([], "count_all")])
-        return out.select(sorted(out.column_names))
-
-    counts = merge_keyed(ds.select_columns(keys).map_batches(
-        partial, batch_format="pyarrow"), keys, aggregate_by(keys))
+    counts = merge_keyed(_count_parts(ds, keys), keys, aggregate_by(keys))
     if not isinstance(counts, pa.Table):
         return _rank_sorted(ds, field, group_by, output_name)
     pdf = counts.to_pandas()
@@ -1151,24 +1135,32 @@ def _broadcast_join(ds, small_df: pd.DataFrame, on: list[str], how: str = "left"
     return ds.map_batches(join_batch, batch_format="pandas")
 
 
-def join(ds, right, on: list[str], how: str = "inner",
-         right_is_small: bool = True, num_partitions: int | None = None):
-    """Verb ``join`` (join.go:311-330). Small right side -> broadcast
-    hash join (actor-pool holds the table once per actor). Large-large
-    -> Ray Dataset.join (hash-partitioned shuffle join).
+def join(ds, right, on: list[str], how: str = "inner"):
+    """Verb ``join`` (join.go:311-330): the rows of ``ds`` and of
+    ``right`` (a Dataset or a pandas DataFrame) paired on the ``on``
+    columns as ``pandas.merge`` pairs them, for ``how`` in inner, left,
+    right and outer.
 
-    ``num_partitions`` defaults to the cluster CPU count, capped at
-    4x: the shuffle join's aggregator pool deadlocks when partitions
-    exceed schedulable cores (32 partitions on a 4-CPU ray.init hangs
-    forever — same clamp as stages/dedup.exact_dedup)."""
-    if right_is_small:
-        small = right.to_pandas() if not isinstance(right, pd.DataFrame) else right
-        return _broadcast_join(ds, small, on=on, how="inner" if how == "inner" else how)
-    if num_partitions is None:
-        import ray
+    The right side's measured size picks the physical join. An inner or
+    left join against a DataFrame, or against a Dataset whose blocks
+    measure at most ``KEYED_FOLD_BYTES``, broadcasts the right side to
+    plain tasks over ``ds``'s batches. Anything else, every right and
+    outer join included (an unmatched right row must come out once, not
+    once per left batch), co-partitions both sides with ``bucket_apply``
+    and merges each bucket."""
+    import ray.data as rd
 
-        num_partitions = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    return ds.join(right, join_type=how, num_partitions=num_partitions, on=tuple(on))
+    if how in ("inner", "left"):
+        if isinstance(right, pd.DataFrame):
+            return _broadcast_join(ds, right, on=on, how=how)
+        refs, nbytes = block_refs(right)
+        right = rd.from_arrow_refs(refs)
+        if nbytes <= engine_merge.KEYED_FOLD_BYTES:
+            return _broadcast_join(ds, right.to_pandas(), on=on, how=how)
+    elif isinstance(right, pd.DataFrame):
+        right = rd.from_pandas(right)
+    return bucket_apply([ds, right], on, lambda l, r: l.merge(r, on=on, how=how),
+                        batch_format="pandas")
 
 
 def sorted_merge_join(ds, left, right_on: list[str],
@@ -1181,105 +1173,77 @@ def sorted_merge_join(ds, left, right_on: list[str],
     """Verb ``join -s`` engine path (join.go --sorted-input;
     utils/join_bucket_keeper.go:118): both sides are key-sorted, so
     equal keys form contiguous runs and pairing needs no hash of the
-    full left side. Ray-native shape: tag each side, align to one
-    union schema, and let the engine's ``bucket_apply`` co-locate each
-    key's run in hash buckets. Each key group pairs left×stream rows
-    (cartesian within the key, as the bucket keeper does for equal-key
-    runs); unpaired sides emit under --ul/--ur.
+    full left side. Ray-native shape: ``bucket_apply`` co-partitions the
+    left side (its keys renamed to the stream's) and the stream by key
+    hash, so each key's runs from both sides meet in one bucket call.
+    Each key group pairs left×stream rows (cartesian within the key, as
+    the bucket keeper does for equal-key runs); unpaired sides emit
+    under --ul/--ur.
 
     Works large-large: no side is ingested whole; memory is bounded by
-    the largest single key run (skewed keys hurt — same caveat as the
+    the largest bucket (skewed keys hurt — same caveat as the
     reference, which buffers one key's bucket).
 
     Output is unordered (Dataset semantics); Miller's stream order is
     a single-node streaming artifact."""
-    left_on = left_on or right_on
-    lds = left if not isinstance(left, pd.DataFrame) else None
     import ray.data as rd
 
-    if lds is None:
-        lds = rd.from_pandas(left)
-    # left key columns are read under their own names and written
-    # under the stream's (rename inside the tag step — Ray's
-    # rename_columns requires Arrow blocks)
-    lkey_src = dict(zip(right_on, left_on))
-    snames = [c for c in ds.schema().names if c != "__side__"]
-    lnames = [c for c in lds.schema().names if c != "__side__"]
-    lnonkey = [c for c in lnames if c not in left_on]
-    snonkey = [c for c in snames if c not in right_on]
-    lcols_all = [lp + c for c in lnonkey]
-    scols_all = [rp + c for c in snonkey]
-    # unprefixed collisions: the stream side wins in paired records
-    # (join.go map-put order — left first, right overwrites)
-    out_cols = list(right_on) + lcols_all + scols_all
-    # one union schema (key cols + BOTH sides' prefixed non-keys)
-    ucols = list(dict.fromkeys(out_cols))
-
-    def tag(side: int, nonkey: list[str], prefix: str, keymap: dict):
-        def f(df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame(index=df.index)
-            for k in right_on:
-                src = keymap.get(k, k)
-                out[k] = df[src] if src in df.columns else None
-            for c in nonkey:
-                out[prefix + c] = df[c]
-            for c in ucols:
-                if c not in out.columns:
-                    out[c] = None
-            out["__side__"] = side
-            return out[ucols + ["__side__"]]
-        return f
-
-    tagged = lds.map_batches(tag(0, lnonkey, lp, lkey_src),
-                             batch_format="pandas") \
-        .union(ds.map_batches(tag(1, snonkey, rp, {}),
-                              batch_format="pandas"))
-
+    left_on = left_on or right_on
+    keys = list(right_on)
+    lds = rd.from_pandas(left) if isinstance(left, pd.DataFrame) else left
+    lnonkey = [c for c in lds.schema().names if c not in left_on]
+    snonkey = [c for c in ds.schema().names if c not in keys]
     lcols = [lp + c for c in lnonkey]
     scols = [rp + c for c in snonkey]
+    # unprefixed collisions: the stream side wins in paired records
+    # (join.go map-put order — left first, right overwrites)
+    ucols = list(dict.fromkeys(keys + lcols + scols))
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def left_side(df: pd.DataFrame) -> pd.DataFrame:
+        # left key columns are read under their own names and written
+        # under the stream's
+        out = pd.DataFrame({k: df[src] for k, src in zip(keys, left_on)},
+                           index=df.index)
+        for c in lnonkey:
+            out[lp + c] = df[c]
+        return out
+
+    def per_bucket(ls: pd.DataFrame, ss: pd.DataFrame) -> pd.DataFrame:
         # all rows of every key in this bucket: pair/unpair every key
         # at once with vectorized pandas merges (one Ray task per
-        # BUCKET — groupby(keys).map_groups would pay one task per
-        # distinct key)
-        ls = df[df["__side__"] == 0]
-        ss = df[df["__side__"] == 1]
+        # BUCKET, not per distinct key)
+        ss = ss.rename(columns=dict(zip(snonkey, scols)))
 
         def valid(d: pd.DataFrame) -> pd.Series:
             m = pd.Series(True, index=d.index)
-            for k in right_on:
+            for k in keys:
                 m &= d[k].notna()
                 if ignore_empty:
                     m &= (d[k] != "")
             return m
 
-        lsv = ls[valid(ls)]
-        ssv = ss[valid(ss)]
+        def unmatched(d: pd.DataFrame, other: pd.DataFrame) -> pd.DataFrame:
+            matched = (pd.MultiIndex.from_frame(d[keys])
+                       .isin(pd.MultiIndex.from_frame(other[keys]))
+                       & valid(d).to_numpy())
+            return d[~matched]
+
+        lsv, ssv = ls[valid(ls)], ss[valid(ss)]
         parts = []
         if emit_paired and len(lsv) and len(ssv):
             # inner merge IS the per-key cartesian of equal-key runs
-            parts.append(lsv[list(right_on) + lcols].merge(
-                ssv[list(right_on) + scols], on=list(right_on),
-                how="inner"))
+            parts.append(lsv.drop(columns=[c for c in lcols if c in scols])
+                         .merge(ssv, on=keys, how="inner"))
         if emit_unpaired_left and len(ls):
-            matched = (pd.MultiIndex.from_frame(ls[list(right_on)])
-                       .isin(pd.MultiIndex.from_frame(
-                           ssv[list(right_on)]))
-                       & valid(ls).to_numpy())
-            parts.append(ls[~matched][list(right_on) + lcols])
+            parts.append(unmatched(ls, ssv))
         if emit_unpaired_right and len(ss):
-            matched = (pd.MultiIndex.from_frame(ss[list(right_on)])
-                       .isin(pd.MultiIndex.from_frame(
-                           lsv[list(right_on)]))
-                       & valid(ss).to_numpy())
-            parts.append(ss[~matched][list(right_on) + scols])
+            parts.append(unmatched(ss, lsv))
         out = pd.concat(parts, ignore_index=True) if parts else \
-            df.iloc[0:0][ucols]
+            pd.DataFrame(columns=ucols)
         return out.reindex(columns=ucols)
 
-    return bucket_apply(tagged, list(right_on), per_bucket,
-                        batch_format="pandas")
+    return bucket_apply([lds.map_batches(left_side, batch_format="pandas"), ds],
+                        keys, per_bucket, batch_format="pandas")
 
 
 def mlr_join(ds, left, left_on: list[str], right_on: list[str] | None = None,
@@ -2684,38 +2648,52 @@ def gap(ds, n: int, order_col: str):
     return ds.map_batches(f, batch_format="pandas")
 
 
+def _first_seen_sort(ds, keys: list[str], order_col: str):
+    """``ds``'s rows regrouped by ``keys``: groups in first-seen
+    ``order_col`` order, ``order_col`` order within each group. One
+    ``merge_keyed`` min fold finds each key's first ``order_col`` (one
+    row per distinct key), broadcast by key hash, so that one sort by
+    (first seen, order) lands the layout. Keys are never sorted
+    themselves, so a null key is a group like any other."""
+    import ray
+
+    def partial(t: pa.Table) -> pa.Table:
+        out = t.group_by(keys).aggregate([(order_col, "min")])
+        return out.select(sorted(out.column_names))
+
+    firsts = merge_keyed(ds.select_columns([*keys, order_col]).map_batches(
+        partial, batch_format="pyarrow"), keys, aggregate_by(keys, "min"))
+    if not isinstance(firsts, pa.Table):
+        firsts = pa.Table.from_pandas(firsts.to_pandas(), preserve_index=False)
+    if not firsts.num_rows:  # no rows: nothing to regroup
+        return ds
+    h = key_hash(firsts, keys)
+    at = np.argsort(h)
+    ref = ray.put((h[at], firsts[f"{order_col}_min"].to_numpy()[at]))
+
+    def rank(t: pa.Table) -> pa.Table:
+        hs, first = ray.get(ref)
+        return t.append_column(
+            "__first", pa.array(first[np.searchsorted(hs, key_hash(t, keys))]))
+
+    return ds.map_batches(rank, batch_format="pyarrow") \
+        .sort(["__first", order_col]).drop_columns(["__first"])
+
+
 def group_by_verb(ds, fields: list[str], order_col: str):
     """Verb ``group-by`` (transformers/group_by.go): records regroup
     by the VALUES of the given fields, groups in first-seen stream
-    order, original order within each group. Distributed shape: a tiny
-    groupby finds each key's first occurrence (broadcast), then one
-    sort by (key_first_seen, order) — same plan as group_like, keyed
-    by values instead of schema signature."""
-    firsts = ds.groupby(fields).min(order_col)
-    fdf = firsts.to_pandas()  # tiny: one row per distinct key tuple
-    first_seen = {tuple(r[f] for f in fields): r[f"min({order_col})"]
-                  for _, r in fdf.iterrows()}
-
-    def rank(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__grprank__"] = [first_seen.get(tuple(r))
-                             for r in df[fields].itertuples(index=False)]
-        return df
-
-    return ds.map_batches(rank, batch_format="pandas") \
-        .sort(["__grprank__", order_col]) \
-        .drop_columns(["__grprank__"])
+    order, original order within each group. Same plan as group_like,
+    keyed by values instead of schema signature."""
+    return _first_seen_sort(ds, fields, order_col)
 
 
 def group_like(ds, order_col: str):
     """Verb ``group-like`` (transformers/group_like.go): records
     regroup by key-signature (the set of non-null fields), signatures
     in first-seen stream order, original order within each group.
-    Distributed shape: one pass stamps each row's signature, a tiny
-    groupby finds each signature's first occurrence (broadcast), and a
-    single sort by (signature_first_seen, order) lands the layout —
-    no driver-side loop over rows."""
-    import ray.data as rd  # noqa: F401
+    Distributed shape: one pass stamps each row's signature, then
+    ``_first_seen_sort`` keyed by it — no driver-side loop over rows."""
 
     def stamp(df: pd.DataFrame) -> pd.DataFrame:
         sigs = []
@@ -2727,20 +2705,8 @@ def group_like(ds, order_col: str):
         df["__sig__"] = sigs
         return df
 
-    stamped = ds.map_batches(stamp, batch_format="pandas")
-    firsts = stamped.groupby("__sig__").min(order_col)
-    first_seen = {r["__sig__"]: r[f"min({order_col})"]
-                  for r in firsts.take_all()}  # tiny: one row/signature
-
-    def rank(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__sigrank__"] = df["__sig__"].map(first_seen)
-        return df
-
-    out = stamped.map_batches(rank, batch_format="pandas") \
-        .sort(["__sigrank__", order_col]) \
-        .drop_columns(["__sig__", "__sigrank__"])
-    return out
+    return _first_seen_sort(ds.map_batches(stamp, batch_format="pandas"),
+                            ["__sig__"], order_col).drop_columns(["__sig__"])
 
 
 def surv(ds, duration_field: str, status_field) -> pd.DataFrame:

@@ -49,3 +49,14 @@ def test_sketch_builds_shuffle_no_dataset_themselves():
                 on_pandas = n.attr == "groupby" and isinstance(n.value, ast.Call) \
                     and getattr(n.value.func, "attr", None) == "to_pandas"
                 assert on_pandas, (name, n.lineno, n.attr)
+
+
+def test_keyed_shuffles_run_on_the_engine_exchange():
+    # the engine and the verbs shuffle by key only through
+    # merge.bucket_apply / merge_keyed: no Ray sort shuffle, grouped
+    # aggregate or Dataset.join, and no join knob
+    files = [*sorted((PKG / "engine").glob("*.py")), PKG / "verbs.py"]
+    for token in ("map_groups", "ray.data.aggregate", "join_type",
+                  "num_partitions", "right_is_small"):
+        users = [p.name for p in files if token in p.read_text(encoding="utf-8")]
+        assert not users, (token, users)

@@ -41,6 +41,18 @@ def _estimates(out: pd.DataFrame) -> pd.DataFrame:
     return out.assign(h=[h.estimate() for h in out["h"]])
 
 
+def _in_order(out) -> pd.DataFrame:
+    # a regrouping verb's answer is its row order: keep it as a column
+    df = out.to_pandas()
+    return df.assign(pos=np.arange(len(df)))
+
+
+def _all_null_g(ds):
+    return ds.map_batches(lambda t: t.set_column(
+        t.schema.get_field_index("g"), "g", pa.nulls(t.num_rows, pa.string())),
+        batch_format="pyarrow")
+
+
 # site -> (answer on ds as a frame, whether the null group shows in it)
 SITES = {
     "count": (lambda ds: verbs.count(ds, ["g"]), True),
@@ -50,6 +62,20 @@ SITES = {
         ds, ["count", "sum", "mean", "min", "max", "var"], ["v"], ["g"]), True),
     "value_stats": (lambda ds: verbs.stats1(
         ds, ["distinct_count", "mode", "antimode"], ["v"], ["g"]), True),
+    # every key null: one group, whose pandas key dtype is float64
+    "value_stats_all_null_g": (lambda ds: verbs.stats1(
+        _all_null_g(ds), ["distinct_count", "mode", "antimode"], ["v"], ["g"]),
+        True),
+    # a string field's percentiles take the per-group bucket path
+    "string_percentiles": (lambda ds: verbs.stats1(
+        ds, ["p50", "count"], ["txt"], ["g"]), True),
+    "count_lazy": (lambda ds: verbs.count_lazy(ds, ["g"]).to_pandas(), True),
+    "uniq_lazy": (lambda ds: verbs.uniq_lazy(
+        ds, ["g", "k"], show_counts=True).to_pandas(), True),
+    "group_by_verb": (lambda ds: _in_order(verbs.group_by_verb(ds, ["g"], "o")),
+                      True),
+    "group_like": (lambda ds: _in_order(verbs.group_like(
+        ds.select_columns(["g", "o"]), "o")), True),
     "sum_xy": (lambda ds: verbs.stats2(ds, ["cov"], [("v", "y")], ["g"]), True),
     "grouped_sketches": (lambda ds: _estimates(build_grouped_sketches(
         ds, ["g"], [SketchSpec.column("h", lambda: HyperLogLog(p=10), "id")])),
