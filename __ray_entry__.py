@@ -588,7 +588,7 @@ def q_cumfrac(sf_dir: str):
                         ["sum"], ["o_totalprice"], ["o_orderpriority"])
     r = verbs.cumulative_fraction(
         _rd().from_pandas(sums.rename(columns={"o_totalprice_sum": "grp_sum"})),
-        "grp_sum")
+        "grp_sum").to_pandas()
     return _round(r[["o_orderpriority", "grp_sum", "grp_sum_cumfrac"]],
                   {"grp_sum": 2, "grp_sum_cumfrac": 6})
 

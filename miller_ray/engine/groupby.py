@@ -26,6 +26,10 @@ from miller_ray.engine import exact
 from miller_ray.engine.merge import aggregate_by, bucket_apply, merge_keyed
 
 _DUMMY = "__g"
+# grouped_percentiles: distinct values a group's pass-A store keeps
+# before it turns dense, and the refinement passes' bins per group
+MAX_UNIQUES = 2_000_000
+NBINS = 8192
 
 # acc name -> required partial moments
 _NEEDS = {
@@ -376,25 +380,23 @@ def _one_pct(p, n, stat, interpolated):
 
 def grouped_percentiles(ds, group_by: list[str], field: str, ps: list[float],
                         interpolated: bool = False,
-                        extra_accs: list[str] | None = None,
-                        max_uniques: int = 2_000_000,
-                        nbins: int = 8192) -> pd.DataFrame:
+                        extra_accs: list[str] | None = None) -> pd.DataFrame:
     """Exact Miller percentiles (R type-1; -i => type-7) per group,
     as mergeable per-block partials — NO per-group sort, NO wide
     shuffle, parallelism independent of group count.
 
     Pass A (always): per-block (group, value, count) partials
     (vectorized lexsort+diff), stream-folded on the driver with per-
-    group distinct-value stores capped at ``max_uniques``. Groups whose
+    group distinct-value stores capped at ``MAX_UNIQUES``. Groups whose
     column fits the cap (any bounded-cardinality field at ANY row
     count; most real columns) finish here in ONE pass.
 
     Dense groups (distinct values > cap) fall back to exact histogram
-    refinement: Pass B bins values over [min, max] into ``nbins``
+    refinement: Pass B bins values over [min, max] into ``NBINS``
     per-block bincounts (merged counts locate the bin holding each
     needed order statistic), Pass C collects value-counts ONLY inside
-    candidate bins (expected n/nbins of the group) and indexes exactly.
-    Both passes move O(blocks x nbins) rows — scale-safe at 10^12.
+    candidate bins (expected n/NBINS of the group) and indexes exactly.
+    Both passes move O(blocks x NBINS) rows — scale-safe at 10^12.
 
     extra_accs: 'median' (= p50) and 'mad' (mean absolute deviation
     about the mean, reference stats1_accumulators.go:496-534).
@@ -407,7 +409,9 @@ def grouped_percentiles(ds, group_by: list[str], field: str, ps: list[float],
     sub = ds.select_columns(cols)
     sch = ds.schema()
     ftype = dict(zip(sch.names, sch.types))[field]
-    if not (pa.types.is_integer(ftype) or pa.types.is_floating(ftype)
+    # a pandas block's object column reports a Python type, not Arrow's
+    if not isinstance(ftype, pa.DataType) or not (
+            pa.types.is_integer(ftype) or pa.types.is_floating(ftype)
             or pa.types.is_decimal(ftype) or pa.types.is_boolean(ftype)):
         return _grouped_percentiles_obj(sub, group_by, field, ps,
                                         interpolated, extra_accs)
@@ -427,17 +431,17 @@ def grouped_percentiles(ds, group_by: list[str], field: str, ps: list[float],
             for key, sl in pdf.groupby(keys, sort=False, dropna=False).indices.items():
                 kt = key if isinstance(key, tuple) else (key,)
                 store.setdefault(kt, _GroupVC()).add(
-                    pdf["__v"].to_numpy()[sl], pdf["__c"].to_numpy()[sl], max_uniques)
+                    pdf["__v"].to_numpy()[sl], pdf["__c"].to_numpy()[sl], MAX_UNIQUES)
         else:
             store.setdefault((), _GroupVC()).add(
-                pdf["__v"].to_numpy(), pdf["__c"].to_numpy(), max_uniques)
+                pdf["__v"].to_numpy(), pdf["__c"].to_numpy(), MAX_UNIQUES)
     for g in store.values():
-        g.compact(max_uniques)
+        g.compact(MAX_UNIQUES)
 
     dense = {k: g for k, g in store.items() if g.dense}
     dense_stats = _dense_order_stats(sub, group_by, field, dense, ps,
                                      interpolated, "mad" in extra_accs,
-                                     nbins) if dense else {}
+                                     NBINS) if dense else {}
 
     rows = []
     for kt, g in store.items():
@@ -658,8 +662,9 @@ def _grouped_percentiles_obj(sub, group_by, field, ps, interpolated,
 
         return bucket_apply([sub], group_by, per_bucket,
                             batch_format="pandas").to_pandas()
-    allv = [v for b in sub.iter_batches(batch_format="pyarrow")
-            for v in b[field].to_pylist()]
+    # pandas batches: a mixed-type object column has no Arrow type
+    allv = [v for b in sub.iter_batches(batch_format="pandas")
+            for v in b[field].tolist()]
     vals = exact.miller_sorted(allv)
     out = {}
     for p in ps:

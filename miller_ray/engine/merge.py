@@ -120,6 +120,22 @@ def merge_partials(parts, combine: Callable, batch_format: str = "pyarrow"):
         if batches else pa.table({})
 
 
+def distinct_values(ds, column: str, values: Callable = lambda col: col) -> list:
+    """The sorted distinct non-null values of ``values(col)`` over the
+    ``column`` of every block of ``ds`` (default: the column itself).
+    Each block emits its ``pc.unique``, and ``merge_partials`` folds
+    them with ``pc.unique`` as the closed combine."""
+
+    def unique(t: pa.Table) -> pa.Table:
+        return pa.table({"v": pc.unique(t["v"])})
+
+    parts = ds.select_columns([column]).map_batches(
+        lambda t: unique(pa.table({"v": values(t[column])})),
+        batch_format="pyarrow")
+    left = merge_partials(parts, unique)
+    return sorted(unique(left)["v"].drop_null().to_pylist()) if left.num_rows else []
+
+
 def key_hash(t: pa.Table, cols: list[str]) -> np.ndarray:
     """A uint64 per row of ``t`` over columns ``cols``. Equal keys hash
     equal whatever Arrow type a block gave them: numbers hash by their

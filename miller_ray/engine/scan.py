@@ -1,13 +1,14 @@
 """Ordered scan: the execution shape of Miller's stream-order verbs.
 
-``step``, ``fill-down``, ``stats1 -w``, ``step slwin``, ``decimate -b/-e``
-and sort-path ``rank`` carry per-group state across records in stream
-order (SURVEY.md §2.3). Distributed, the stream is one global sort by
-(group..., order); each sorted block then needs only a small CARRY
-describing the blocks around it, so a hot group spanning many blocks
-still runs in parallel and no per-group reducer exists. Per-task memory
-is one block plus its carry; the driver only chains O(blocks) small
-summaries.
+``step``, ``fill-down``, ``stats1 -w``, ``step slwin``, ``decimate -b/-e``,
+sort-path ``rank``, ``tail`` and ``fraction -c`` carry per-group state
+across records in stream order (SURVEY.md §2.3); ``tail`` keeps the
+input's block order, the others sort it first. Distributed, the stream
+is one global sort by (group..., order); each sorted block then needs
+only a small CARRY describing the blocks around it, so a hot group
+spanning many blocks still runs in parallel and no per-group reducer
+exists. Per-task memory is one block plus its carry; the driver only
+chains O(blocks) small summaries.
 """
 
 from __future__ import annotations

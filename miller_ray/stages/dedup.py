@@ -23,7 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from miller_ray.engine.merge import bucket_apply, merge_keyed, pandas_combine
+from miller_ray.engine.merge import (aggregate_by, bucket_apply, distinct_values,
+                                     merge_keyed, pandas_combine)
 from miller_ray.hashing import hash64
 from miller_ray.sketches.minhash import MinHash, hamming64, shingle_hashes, simhash_concat
 
@@ -153,20 +154,21 @@ def _keep_multi_member_buckets(ds, keys: list[str], return_counts: bool = False)
     map_groups pays a Python call PER BUCKET — pruning first makes the
     pair stage proportional to the duplicate count, not the corpus.
 
-    Count via per-block partial aggregation (small shuffle), filter
+    Count via per-block partial counts folded by ``merge_keyed``, filter
     count>=2 vectorized, broadcast the surviving key set with ray.put."""
     import ray
 
     def partial(t: pa.Table) -> pa.Table:
         return t.select(keys).group_by(keys).aggregate([([], "count_all")])
 
-    from ray.data.aggregate import Sum
+    def multi_member(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["count_all"], 2)) if t.num_rows else t
 
-    counts = ds.map_batches(partial, batch_format="pyarrow") \
-               .groupby(keys).aggregate(Sum("count_all", alias_name="n"))
-    multi = counts.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["n"], 2)),
-        batch_format="pyarrow").to_pandas()
+    counts = merge_keyed(ds.map_batches(partial, batch_format="pyarrow"), keys,
+                         aggregate_by(keys))
+    multi = (multi_member(counts) if isinstance(counts, pa.Table) else
+             counts.map_batches(multi_member, batch_format="pyarrow")
+             ).to_pandas().rename(columns={"count_all": "n"})
     if multi.empty:
         return (ds.limit(0), multi) if return_counts else ds.limit(0)
     packed_wanted = None
@@ -332,7 +334,7 @@ def minhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     # broadcast a sorted packed-hash array + np.isin (8 bytes per
     # candidate; hash collisions only over-include, and non-surviving
     # bucket rows are dropped by the bucket filter below)
-    cand_ids = np.asarray(survivors.unique(id_col))
+    cand_ids = np.asarray(distinct_values(survivors, id_col))
     wanted = np.sort(hash64(cand_ids, seed=47))
     wref = ray.put(wanted)
 

@@ -1,12 +1,20 @@
 """Miller-semantics verb facade over ray.data.Dataset.
 
 Each function re-expresses one reference verb (file cited per function,
-all under /root/reference/pkg/transformers/) Ray-Data-first: stateless
-per-record verbs are vectorized ``map_batches``; accumulating verbs are
-partial-aggregate + small shuffle (engine.groupby); stream-order verbs
-(step, fill-down, stats1 -w, decimate -b/-e, sort-path rank) are an
-``engine.scan.ordered_scan``; buffer-all verbs (sort, tac) map to
-Dataset-wide operators.
+all in Miller's pkg/transformers/) Ray-Data-first: stateless per-record
+verbs are vectorized ``map_batches``; verbs that fold or scan go
+through the engine's primitives, picked by the shape of the per-block
+partial (``stats1`` percentiles still fold their value counts on the
+driver, in ``engine.groupby``):
+- ``engine.merge.merge_partials`` for partials bounded per block
+  (histogram bins, an ungrouped top-k);
+- ``engine.merge.merge_keyed`` for partials that carry group keys
+  (``count -g``, ``stats1``, ``top -g``, ``head -g``, ``sample -g``);
+- ``engine.scan.ordered_scan`` for stream-order verbs (step, fill-down,
+  stats1 -w, decimate -b/-e, sort-path rank, tail, fraction -c).
+The ends verbs (head -g, tail -g/-o, top, top -a, sample) share one
+per-group trim as both partial and combine (``_ends``). Buffer-all
+verbs (sort, tac) map to Dataset-wide operators.
 
 Divergences from Miller, by design (SURVEY.md §1.6):
 - output row order is undefined unless the verb sorts; callers compare
@@ -14,6 +22,8 @@ Divergences from Miller, by design (SURVEY.md §1.6):
 - first-seen tie-breaks (mode/antimode/top ties) are replaced by the
   deterministic total order (count desc / value asc), documented per
   verb.
+- records with a null group key form one group, as in ``count -g``
+  (Miller skips records lacking the group field, top.go:208-211).
 
 Aggregate results are returned as small pandas DataFrames (they are
 O(groups)); record-level verbs return Datasets and keep streaming.
@@ -24,8 +34,6 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Any
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -34,20 +42,19 @@ import pyarrow.compute as pc
 from miller_ray.engine.groupby import grouped_percentiles, grouped_stats
 from miller_ray.engine import merge as engine_merge
 from miller_ray.engine.merge import (aggregate_by, block_refs, bucket_apply,
-                                     key_hash, merge_keyed, merge_partials,
-                                     pandas_combine)
+                                     distinct_values, key_hash, merge_keyed,
+                                     merge_partials, pandas_combine)
 from miller_ray.engine.scan import group_index, ordered_scan, running_carries
 
 _MOMENT_ACCS = {"count", "null_count", "sum", "mean", "min", "max", "var",
                 "stddev", "meaneb", "skewness", "kurtosis", "minlen", "maxlen"}
 
 
-def _keyed_dataset(parts, keys: list[str], combine):
-    """``merge_keyed`` for a verb whose answer is a Dataset: the driver
-    fold's small table is wrapped once."""
+def _dataset(out):
+    """A fold's answer as a Dataset: a driver fold's small ``pa.Table``
+    (``merge_keyed``'s, or ``_ends``') is wrapped once."""
     import ray.data as rd
 
-    out = merge_keyed(parts, keys, combine)
     return rd.from_arrow(out) if isinstance(out, pa.Table) else out
 
 
@@ -106,8 +113,8 @@ def count_lazy(ds, group_by: list[str], output_name: str = "count"):
     ``write_parquet`` — never a driver DataFrame. ``count``'s per-block
     partials through ``merge_keyed``, with columns ``[*group_by,
     output_name]``."""
-    return _keyed_dataset(_count_parts(ds, group_by), group_by,
-                          aggregate_by(group_by)).rename_columns(
+    return _dataset(merge_keyed(_count_parts(ds, group_by), group_by,
+                                aggregate_by(group_by))).rename_columns(
         {"count_all": output_name}).select_columns([*group_by, output_name])
 
 
@@ -163,10 +170,12 @@ def stats1(ds, accs: list[str], fields: list[str],
     """Verb ``stats1 -a accs -f fields [-g group]`` (stats1.go:249-338).
 
     Moment accumulators stream via partial aggregation; percentile
-    accumulators (pNN/median/mad) use the exact per-group sort path
-    (the approximate path is pipelines.sketch_verbs). mode/antimode/
-    distinct_count use a value-counts reduction with the deterministic
-    (count, value) tie-break replacing Miller's first-seen rule.
+    accumulators (pNN/median/mad) are exact, from per-block value-count
+    partials plus histogram refinement for groups with too many
+    distinct values (``engine.groupby.grouped_percentiles``; the
+    approximate path is the sketches). mode/antimode/distinct_count use
+    a value-counts reduction with the deterministic (count, value)
+    tie-break replacing Miller's first-seen rule.
     """
     group_by = group_by or []
     moment = [a for a in accs if a in _MOMENT_ACCS]
@@ -369,42 +378,24 @@ def top(ds, field: str, n: int = 1, group_by: list[str] | None = None,
         smallest: bool = False) -> pd.DataFrame:
     """Verb ``top -n N -f field [-g group]`` (top.go:146-182): the N
     largest (``-a`` min: smallest) values per group. Output: group keys +
-    ``top_idx`` (1-based) + ``<field>_top``. Ties: value order then
-    arbitrary among equal values (Miller keeps first-seen)."""
+    ``top_idx`` (1-based) + ``<field>_top``, each group's rows in value
+    order. Ties: value order then arbitrary among equal values (Miller
+    keeps first-seen). Records with a null group key form one group
+    (Miller skips records lacking the group field). The per-group trim
+    of :func:`_ends` by value is the whole fold."""
     group_by = group_by or []
-
-    def per_block(t: pa.Table) -> pa.Table:
-        # bounded local top-k per (block, group): keeps the shuffle tiny
-        df = t.select(group_by + [field]).to_pandas()
-        if group_by:
-            g = (df.sort_values(field, ascending=smallest)
-                   .groupby(group_by, sort=False).head(n))
-        else:
-            g = df.sort_values(field, ascending=smallest).head(n)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    # per_block is its own combiner (local top-k of top-ks is top-k);
-    # the sort below is the driver's last one
-    pdf = merge_partials(ds.map_batches(per_block, batch_format="pyarrow"),
-                         per_block).to_pandas()
+    pdf = _ends(ds.select_columns([*group_by, field]), n, group_by, [field],
+                ascending=smallest).to_pandas()
     if pdf.empty:  # empty input loses its schema through to_pandas
         pdf = pd.DataFrame({c: pd.Series(dtype=object)
                             for c in group_by + [field]})
-
-    # one stable sort: equal values keep their partial order; groups come
-    # out in first-seen order, each with its best n rows in order
-    if group_by:
-        srt = pdf.assign(__g=pdf.groupby(group_by, sort=False).ngroup()).sort_values(
-            ["__g", field], ascending=[True, smallest], kind="stable")
-        sel = srt.groupby(group_by, sort=False).head(n)
-        top_idx = sel.groupby(group_by, sort=False).cumcount().to_numpy() + 1
-    else:
-        sel = pdf.sort_values(field, ascending=smallest, kind="stable").head(n)
-        top_idx = np.arange(1, len(sel) + 1)
+    # a group's rows all leave one trim, which sorted them by value
+    top_idx = pdf.groupby(group_by, sort=False, dropna=False).cumcount() \
+        .to_numpy() + 1 if group_by else np.arange(1, len(pdf) + 1)
     return pd.DataFrame({
-        **{k: sel[k].to_numpy() for k in group_by},
+        **{k: pdf[k].to_numpy() for k in group_by},
         "top_idx": top_idx.astype(np.int64),
-        f"{field}_top": sel[field].to_numpy(),
+        f"{field}_top": pdf[field].to_numpy(),
     })
 
 
@@ -601,98 +592,76 @@ def head(ds, n: int = 10, group_by: list[str] | None = None,
          order_by: str | None = None):
     """Verb ``head`` (head.go): first n records (per group with -g).
     Ungrouped relies on Dataset.limit's backpressure fast-stop —
-    the analogue of Miller's downstream-done protocol. Grouped "first"
-    needs a declared order distributed: with ``order_by`` see
-    :func:`head_by`. Without it, the first n per group in block order
-    (conformance-scale only; Miller's stream order does not exist
-    distributed — declare an order column for deterministic output)."""
+    the analogue of Miller's downstream-done protocol. Grouped, the
+    first n per group by ``order_by`` or, without it, in block order
+    (Miller's stream order does not exist distributed — declare an
+    order column for deterministic output): the trim of :func:`_ends`."""
     if not group_by:
         return ds.limit(n)
-    return _ends_per_group(ds, n, group_by, order_by, last=False)
+    return _dataset(_ends(ds, n, group_by, [order_by] if order_by else []))
 
 
 def head_by(ds, n: int, order_by: str, group_by: list[str]):
     """Verb ``head -n -g`` with a declared order: first n records per
-    group by ``order_by`` (see :func:`_ends_per_group`)."""
-    return _ends_per_group(ds, n, group_by, order_by, last=False)
+    group by ``order_by``."""
+    return head(ds, n, group_by, order_by)
 
 
-def _ends_per_group(ds, n: int, group_by: list[str], order_by: str | None,
-                    last: bool):
-    """First (``last``: last) n records per group, by ``order_by`` or,
-    without it, in block order. Scale shape: each block is trimmed to
-    its own first/last n per group, so at most groups × n candidate rows
-    per block reach ``merge_keyed``, whose combine is the same trim
-    (the first n of first-n's are the first n)."""
+def _ends(ds, n: int, group_by: list[str], by: list[str],
+          ascending=True, last: bool = False):
+    """The first (``last``: last) n rows of ``ds`` per ``group_by`` group
+    (one group when empty; a null key is a group) after a stable sort
+    by ``by`` (``ascending``: a bool or one per column), or in block
+    order when ``by`` is empty. Serves ``head -g``, ``tail -g``/``-o``,
+    ``top``, ``top -a`` and ``sample``.
+
+    The trim is both the per-block partial and the closed combine (the
+    first n of first-n's are the first n), so at most groups × n rows
+    per block reach the fold. Keyed partials fold through
+    ``merge_keyed`` (a ``pa.Table`` or a Dataset); unkeyed ones through
+    ``merge_partials``, then the same trim once on the driver (a
+    ``pa.Table``)."""
 
     @pandas_combine
     def trim(df: pd.DataFrame) -> pd.DataFrame:
-        if order_by is not None:
-            df = df.sort_values(order_by)
-        g = df.groupby(group_by, sort=False, dropna=False)
-        return g.tail(n) if last else g.head(n)
+        if by:
+            df = df.sort_values(by, ascending=ascending, kind="stable")
+        ends = df.groupby(group_by, sort=False, dropna=False) if group_by else df
+        return ends.tail(n) if last else ends.head(n)
 
-    return _keyed_dataset(ds.map_batches(trim, batch_format="pyarrow"),
-                          group_by, trim)
+    parts = ds.map_batches(trim, batch_format="pyarrow")
+    if group_by:
+        return merge_keyed(parts, group_by, trim)
+    left = merge_partials(parts, trim)
+    return trim(left) if left.num_rows else left
 
 
 def tail(ds, n: int = 10, group_by: list[str] | None = None,
          order_by: str | None = None):
-    """Verb ``tail`` (tail.go): last n records (per group with -g, see
-    :func:`_ends_per_group`). Distributed "last" needs a declared
-    order: ungrouped with ``order_by``, a bounded per-block top-k on the
-    order column + tiny driver merge (no global sort, no
-    order-dependence on block scheduling). Without it, falls back to
-    block order (conformance-scale only; Miller's stream order does not
-    exist distributed)."""
-    if group_by:
-        return _ends_per_group(ds, n, group_by, order_by, last=True)
-    if order_by is not None:
-        def per_block(t: pa.Table) -> pa.Table:
-            df = t.to_pandas()
-            return pa.Table.from_pandas(df.nlargest(n, order_by),
-                                        preserve_index=False)
+    """Verb ``tail`` (tail.go): last n records, per group with -g. With
+    a group or ``order_by``, the last n by ``order_by`` (in block order
+    without it) are the trim of :func:`_ends`. Otherwise the last n in
+    block order, as an ``ordered_scan``: each block's summary is its row
+    count, its carry how many of its rows come before the last n."""
+    if group_by or order_by is not None:
+        return _dataset(_ends(ds, n, group_by or [],
+                              [order_by] if order_by else [], last=True))
 
-        pdf = ds.map_batches(per_block, batch_format="pyarrow").to_pandas()
-        return _rd_from_pandas(pdf.nlargest(n, order_by)
-                               .sort_values(order_by).reset_index(drop=True))
-    total = ds.count()
-    # no Dataset-native tail: skip the first total-n rows
-    return _skip_rows(ds, max(0, total - n))
+    def skips(lens: list[int]) -> list[int]:
+        start = sum(lens) - n
+        return [start - off for off in list(accumulate(lens, initial=0))[:-1]]
 
-
-def _rd_from_pandas(pdf: pd.DataFrame):
-    import ray.data as rd
-
-    return rd.from_pandas(pdf)
-
-
-def _skip_rows(ds, k: int):
-    import ray
-
-    counter_holder = {"seen": 0}
-
-    def skipper(t: pa.Table) -> pa.Table:
-        # NOTE: correctness relies on preserve_order for a true "tail";
-        # used only for small data / conformance, not a scale path.
-        seen = counter_holder["seen"]
-        counter_holder["seen"] = seen + t.num_rows
-        if seen + t.num_rows <= k:
-            return t.slice(0, 0)
-        return t.slice(max(0, k - seen))
-
-    return ds.map_batches(skipper, batch_format="pyarrow", concurrency=1)
+    return ordered_scan(ds, None, len, skips,
+                        lambda df, skip: df.iloc[max(0, skip):])
 
 
 def sample(ds, k: int, seed: int = 42, group_by: list[str] | None = None) -> pd.DataFrame:
     """Verb ``sample -k`` (sample.go:186): reservoir sample of k per
-    group. Distributed as a mergeable weighted reservoir: per-block
-    priority = hash-seeded uniform key, global top-k by priority ==
-    uniform k-sample (Efraimidis-Spirakis A-Res with deterministic
-    per-row priorities)."""
+    group. Distributed as a mergeable weighted reservoir: per-row
+    priority = hash-seeded uniform key, the k smallest priorities per
+    group (the trim of :func:`_ends`) == uniform k-sample
+    (Efraimidis-Spirakis A-Res with deterministic per-row priorities)."""
     from miller_ray.hashing import hash64
-
-    group_by = group_by or []
 
     def prioritize(t: pa.Table) -> pa.Table:
         # deterministic pseudo-random priority from the row's content
@@ -702,22 +671,9 @@ def sample(ds, k: int, seed: int = 42, group_by: list[str] | None = None) -> pd.
         pri = (key_hash(t, t.column_names) ^ h).astype(np.float64) / 2**64
         return t.append_column("__pri", pa.array(pri))
 
-    parts = ds.map_batches(prioritize, batch_format="pyarrow")
-
-    def local_topk(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        if group_by:
-            return pa.Table.from_pandas(
-                df.sort_values("__pri").groupby(group_by, sort=False).head(k),
-                preserve_index=False)
-        return pa.Table.from_pandas(df.nsmallest(k, "__pri"), preserve_index=False)
-
-    # local_topk is its own combiner (top-k by priority of top-ks), the
-    # driver's last one included; an empty input has no rows to sample
-    left = merge_partials(parts.map_batches(local_topk, batch_format="pyarrow"),
-                          local_topk)
-    pdf = (local_topk(left) if left.num_rows else left).to_pandas()
-    return pdf.drop(columns="__pri", errors="ignore").reset_index(drop=True)
+    out = _ends(ds.map_batches(prioritize, batch_format="pyarrow"), k,
+                group_by or [], ["__pri"]).to_pandas()
+    return out.drop(columns="__pri", errors="ignore")
 
 
 def decimate(ds, n: int = 10):
@@ -1630,7 +1586,7 @@ def nest_implode(ds, field: str, group_by: list[str], sep: str = ";"):
         return df
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
-    return _keyed_dataset(parts, group_by, combine).map_batches(
+    return _dataset(merge_keyed(parts, group_by, combine)).map_batches(
         finish, batch_format="pandas")
 
 
@@ -1661,7 +1617,7 @@ def reshape_long_to_wide(ds, key_field: str, value_field: str,
     ``merge_keyed`` first-non-null (max) merge — no per-group Python
     calls."""
     if key_values is None:
-        key_values = sorted(ds.select_columns([key_field]).unique(key_field))
+        key_values = distinct_values(ds, key_field)
     key_values = [str(k) for k in key_values]
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1672,7 +1628,7 @@ def reshape_long_to_wide(ds, key_field: str, value_field: str,
         return w.reset_index()
 
     parts = ds.map_batches(partial, batch_format="pandas")
-    return _keyed_dataset(parts, group_by, aggregate_by(group_by, "max"))
+    return _dataset(merge_keyed(parts, group_by, aggregate_by(group_by, "max")))
 
 
 def repeat(ds, n: int = 1, by_field: str | None = None):
@@ -1953,91 +1909,49 @@ def top_full_records(ds, field: str, n: int = 1,
                      group_by: list[str] | None = None,
                      tiebreak: str | None = None) -> pd.DataFrame:
     """Verb ``top -a`` (top.go): full records of the top-n by value per
-    group (single value-field form). Bounded per-block top-k then a tiny
-    driver merge — no global sort. ``tiebreak`` names a secondary sort
+    group (single value-field form), the trim of :func:`_ends` by value
+    descending — no global sort. ``tiebreak`` names a secondary sort
     column (ascending) so equal values select deterministically
     (Miller keeps first-seen; stream order does not exist distributed)."""
-    group_by = group_by or []
-    by = [field] + ([tiebreak] if tiebreak else [])
-    asc = [False] + ([True] if tiebreak else [])
-
-    def per_block(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(by, ascending=asc)
-        g = df.groupby(group_by, sort=False).head(n) if group_by else df.head(n)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    pdf = ds.map_batches(per_block, batch_format="pyarrow").to_pandas()
-    pdf = pdf.sort_values(by, ascending=asc)
-    if group_by:
-        return pdf.groupby(group_by, sort=False).head(n).reset_index(drop=True)
-    return pdf.head(n).reset_index(drop=True)
+    return _ends(ds, n, group_by or [], [field] + ([tiebreak] if tiebreak else []),
+                 [False] + ([True] if tiebreak else [])).to_pandas()
 
 
-def cumulative_fraction(ds, field: str, group_by: list[str] | None = None,
-                        out_dir: str | None = None):
+def cumulative_fraction(ds, field: str, group_by: list[str] | None = None):
     """Verb ``fraction -c`` (fraction.go:44-45, two-pass): cumulative
     fraction of the per-group column total, in descending value order
     (Miller: stream order — distributed needs a declared order).
 
-    Two-pass shape: pass 1 = tiny distributed grouped sums; pass 2 =
-    DISTRIBUTED sort by (group, value desc), then the ordered block
-    stream is folded with per-group running offsets — the driver never
-    holds more than one block plus the O(groups) offset table. With
-    ``out_dir`` each finished block streams straight to a parquet part
-    and a lazy Dataset over the parts is returned (the 100-TB path);
-    without it the folded blocks concatenate to a DataFrame (small
-    results only)."""
+    An ``ordered_scan`` over ``ds`` sorted by (group, value desc): each
+    block's summary is its per-group sums; its carry is the sums of the
+    blocks before it and the group totals, both folded from the
+    summaries on the driver, so no pass precedes the sort. Returns a
+    Dataset in that order."""
     group_by = group_by or []
     name = f"{field}_cumfrac"
-    totals = grouped_stats(ds, group_by, [field], ["sum"])
-    srt = ds.sort(group_by + [field],
-                  descending=[False] * len(group_by) + [True])
 
-    def folded_blocks():
-        """Yield finished blocks one at a time: the driver holds ONE
-        block plus the O(groups) offset table, never the full stream."""
-        if not group_by:
-            total = float(totals[f"{field}_sum"].iloc[0])
-            run = 0.0
-            for df in srt.iter_batches(batch_format="pandas"):
-                cs = df[field].cumsum()
-                df[name] = (cs + run) / total
-                run += float(df[field].sum())
-                yield df
-            return
-        tot_df = totals[group_by + [f"{field}_sum"]].rename(
-            columns={f"{field}_sum": "__tot"})
-        run = tot_df[group_by].assign(__off=0.0)
-        for df in srt.iter_batches(batch_format="pandas"):
-            g = df.groupby(group_by, sort=False)
-            cs = g[field].cumsum().to_numpy()
-            m = df[group_by].merge(run, on=group_by, how="left") \
-                            .merge(tot_df, on=group_by, how="left")
-            df[name] = (cs + m["__off"].to_numpy()) / m["__tot"].to_numpy()
-            bsums = g[field].sum().reset_index().rename(
-                columns={field: "__b"})
-            run = run.merge(bsums, on=group_by, how="left")
-            run["__off"] += run.pop("__b").fillna(0.0)
-            yield df
-    if out_dir is not None:
-        # the 100-TB path: stream each finished block straight to a
-        # parquet part and hand back a lazy Dataset over the parts
-        import ray.data as rd
+    def sums(df: pd.DataFrame) -> dict:
+        return {k: float(df[field].iloc[idx].sum())
+                for k, idx in group_index(df, group_by).items()}
 
-        os.makedirs(out_dir, exist_ok=True)
-        written: list[str] = []
-        for i, df in enumerate(folded_blocks()):
-            p = os.path.join(out_dir, f"part-{i:06d}.parquet")
-            df.to_parquet(p, index=False)
-            written.append(p)
-        if not written:
-            return rd.from_pandas(pd.DataFrame())
-        # read back ONLY this run's parts: a reused out_dir holding
-        # more parts from a previous larger run must not leak stale
-        # rows into the result
-        return rd.read_parquet(written)
-    frames = list(folded_blocks())
-    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+    def carries(summaries: list[dict]) -> list:
+        totals: dict = {}
+        for sm in summaries:
+            for k, v in sm.items():
+                totals[k] = totals.get(k, 0.0) + v
+        return [(before, {k: totals[k] for k in sm}) for before, sm in zip(
+            running_carries(summaries, lambda a, b: a + b), summaries)]
+
+    def apply(df: pd.DataFrame, carry) -> pd.DataFrame:
+        before, totals = carry
+        out = np.full(len(df), np.nan)
+        for k, idx in group_index(df, group_by).items():
+            cs = df[field].iloc[idx].cumsum().to_numpy(dtype=np.float64)
+            out[idx] = (before.get(k, 0.0) + cs) / totals[k]
+        return df.assign(**{name: out})
+
+    srt = ds.sort(group_by + [field], descending=[False] * len(group_by) + [True])
+    return ordered_scan(srt, None, sums, carries, apply)
 
 
 def _edge_rows(m: int, n: int):
@@ -2241,8 +2155,8 @@ def least_frequent(ds, fields: list[str], n: int = 1,
 def tail_by(ds, n: int, order_by: str, group_by: list[str]):
     """Verb ``tail -n -g`` with a declared order: last n records per
     group by ``order_by`` (tail.go keeps a ring buffer in stream
-    order; see :func:`_ends_per_group`)."""
-    return _ends_per_group(ds, n, group_by, order_by, last=True)
+    order)."""
+    return tail(ds, n, group_by, order_by)
 
 
 def step_slwin(ds, fields: list[str], m: int, n: int, group_by: list[str],
@@ -2329,14 +2243,11 @@ def nest_explode_values_across_fields(ds, field: str, sep: str = ";",
 def _pair_keys(ds, field: str, sep: str, ps: str) -> list[str]:
     """Distinct pair keys of a nested pairs field (pre-pass, projected)."""
 
-    def keys_of(t: pa.Table) -> pa.Table:
-        pairs = pc.list_flatten(pc.split_pattern(pc.cast(t[field], pa.string()), sep))
-        k = pc.list_element(pc.split_pattern(pairs, ps, max_splits=1), 0)
-        return pa.table({"k": pc.unique(k)})
+    def keys_of(col) -> pa.ChunkedArray:
+        pairs = pc.list_flatten(pc.split_pattern(pc.cast(col, pa.string()), sep))
+        return pc.list_element(pc.split_pattern(pairs, ps, max_splits=1), 0)
 
-    pdf = ds.select_columns([field]).map_batches(
-        keys_of, batch_format="pyarrow").to_pandas()
-    return sorted(pdf["k"].dropna().unique())
+    return distinct_values(ds, field, keys_of)
 
 
 def nest_explode_pairs_across_fields(ds, field: str, sep: str = ";",

@@ -60,3 +60,13 @@ def test_keyed_shuffles_run_on_the_engine_exchange():
                   "num_partitions", "right_is_small"):
         users = [p.name for p in files if token in p.read_text(encoding="utf-8")]
         assert not users, (token, users)
+
+
+def test_folds_and_scans_run_on_the_engine_primitives():
+    # no Ray grouped aggregate anywhere in the package; the verbs gather
+    # no batches on the driver, list no Ray distinct values and keep no
+    # state in a one-task map: they fold or scan through the engine
+    assert not _files_using("ray.data.aggregate")
+    src = (PKG / "verbs.py").read_text(encoding="utf-8")
+    for token in ("iter_batches", ".unique(", "concurrency=1"):
+        assert token not in src, token

@@ -87,6 +87,10 @@ SITES = {
     "head_by": (lambda ds: verbs.head(ds, 2, ["g"], order_by="o").to_pandas(), True),
     "tail": (lambda ds: _group_sizes(verbs.tail(ds, 2, ["g"])), True),
     "tail_by": (lambda ds: verbs.tail_by(ds, 2, "o", ["g"]).to_pandas(), True),
+    "top": (lambda ds: verbs.top(ds, "v", 2, ["g"]), True),
+    "top_full_records": (lambda ds: verbs.top_full_records(
+        ds, "v", 2, ["g"], tiebreak="id"), True),
+    "sample": (lambda ds: verbs.sample(ds, 3, group_by=["g"]), True),
     "nest_implode": (lambda ds: verbs.nest_implode(
         ds.select_columns(["g", "txt"]), "txt", ["g"]).to_pandas(), True),
     "reshape_long_to_wide": (lambda ds: verbs.reshape_long_to_wide(

@@ -1,6 +1,7 @@
 """Round-2 verb-gap coverage: nest pairs/across-fields, case variants,
 sec2gmt fractional, sort flags, having-fields modes, bootstrap-ci,
-positional decimate, tail order, summary full stat set."""
+positional decimate, tail order, cumulative fraction, reshape and
+percentiles corner inputs, summary full stat set."""
 
 import numpy as np
 import pandas as pd
@@ -118,6 +119,65 @@ def test_tail_ordered(ray_session):
     t = pa.table({"i": list(range(100))})
     r = verbs.tail(_ds(t), 5, order_by="i").to_pandas()
     assert r["i"].tolist() == [95, 96, 97, 98, 99]
+
+
+def test_tail_in_block_order_over_many_blocks(ray_session):
+    # without an order column, the last n rows in block order, across
+    # block boundaries and for n beyond the row count
+    import ray.data as rd
+
+    t = pa.table({"i": list(range(100))})
+    ds = rd.from_arrow([t.slice(i, 10) for i in range(0, 100, 10)])
+    assert verbs.tail(ds, 5).to_pandas()["i"].tolist() == list(range(95, 100))
+    assert verbs.tail(ds, 15).to_pandas()["i"].tolist() == list(range(85, 100))
+    assert verbs.tail(ds, 200).to_pandas()["i"].tolist() == list(range(100))
+
+
+@pytest.mark.parametrize("group_by", [[], ["g"]])
+def test_cumulative_fraction_over_sorted_blocks(ray_session, group_by):
+    # 10 input blocks, values with ties: records come out sorted by
+    # (group, value desc), each with its running share of its group total
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    t = pa.table({"g": rng.choice(["a", "b", "c"], 300),
+                  "v": rng.integers(1, 20, 300).astype(np.float64)})
+    ds = rd.from_arrow([t.slice(i, 30) for i in range(0, 300, 30)])
+    got = verbs.cumulative_fraction(ds, "v", group_by).to_pandas()
+    want = t.to_pandas().sort_values(
+        group_by + ["v"], ascending=[True] * len(group_by) + [False])
+    v = want.groupby(group_by)["v"] if group_by else want["v"]
+    want["v_cumfrac"] = v.cumsum() / (v.transform("sum") if group_by else v.sum())
+    cols = group_by + ["v", "v_cumfrac"]  # tied records may swap their g
+    pd.testing.assert_frame_equal(got[cols].reset_index(drop=True),
+                                  want[cols].reset_index(drop=True))
+
+
+def test_reshape_long_to_wide_with_a_null_key(ray_session):
+    # a record whose key is null adds no column, and does not break the
+    # listing of the key values
+    t = pa.table({"g": [1, 1, 2, 2], "k": ["x", None, "y", "x"],
+                  "val": [1.0, 2.0, 3.0, 4.0]})
+    r = verbs.reshape_long_to_wide(_ds(t), "k", "val", ["g"]).to_pandas()
+    r = r.sort_values("g").reset_index(drop=True)
+    assert list(r.columns) == ["g", "x", "y"]
+    assert r["x"].tolist() == [1.0, 4.0]
+    assert pd.isna(r.loc[0, "y"]) and r.loc[1, "y"] == 3.0
+
+
+def test_stats1_percentiles_of_a_mixed_type_pandas_column(ray_session):
+    # a pandas block's object column: Miller's mixed-type order, numbers
+    # before strings
+    import ray.data as rd
+
+    df = pd.DataFrame({"g": ["a", "a", "b", "b", "a"],
+                       "x": [1, "abc", 2.5, 3, 7]})
+    r = verbs.stats1(rd.from_pandas(df), ["p50", "median"], ["x"], ["g"])
+    r = r.set_index("g")
+    assert r.loc["a", "x_p50"] == 7 and r.loc["a", "x_median"] == 7
+    assert r.loc["b", "x_p50"] == 3
+    # ungrouped: 1 < 2.5 < 3 < 7 < "abc"
+    assert verbs.stats1(rd.from_pandas(df), ["p50"], ["x"])["x_p50"].tolist() == [3]
 
 
 def test_summary_full_stats(ray_session):

@@ -90,8 +90,10 @@ def test_top_grouped_raises_no_deprecation_warning(rd):
         warnings.simplefilter("error", DeprecationWarning)
         out = verbs.top(rd.from_arrow(t), "v", n=2, group_by=["g"])
     out = out.sort_values(["g", "top_idx"]).reset_index(drop=True)
-    assert out.to_dict("list") == {"g": ["a", "a", "b", "b"], "top_idx": [1, 2, 1, 2],
-                                   "v_top": [3.0, 3.0, 7.0, 5.0]}
+    # the null-keyed record is a group of its own, as in count -g
+    assert out.to_dict("list") == {"g": ["a", "a", "b", "b", None],
+                                   "top_idx": [1, 2, 1, 2, 1],
+                                   "v_top": [3.0, 3.0, 7.0, 5.0, 9.0]}
 
 
 def test_histogram_edges(rd, caplog):
@@ -141,19 +143,21 @@ def test_sample_ignores_block_order(rd):
 
 def test_top_sample_tree_merge_many_blocks(rd, caplog):
     # VERDICT r03 #4: top()/sample() partials must be tree-merged, not
-    # driver-concatenated per block: merge_partials plans combine levels
-    # from the 250-block estimate, so the driver folds <= 16 partials.
+    # driver-concatenated per block: ungrouped, merge_partials plans
+    # combine levels from the 250-block estimate, so the driver folds
+    # <= 16 partials; grouped, the keyed partials fold by merge_keyed.
     caplog.set_level(logging.DEBUG, logger="miller_ray")
     df, ds = _tree_merge_input(rd)
     out = verbs.top(ds, "v", n=3, group_by=["g"])
-    plan = _merge_plans(caplog)[-1]
-    assert plan["estimated_blocks"] == "250" and int(plan["levels"]) >= 1
+    assert any(r.getMessage().startswith("merge_keyed:") for r in caplog.records)
     exp = (df.sort_values("v", ascending=False).groupby("g").head(3)
              .sort_values(["g", "v"], ascending=[True, False]))
     got = out.sort_values(["g", "top_idx"])
     assert got["v_top"].tolist() == exp["v"].tolist()
     # ungrouped
     out2 = verbs.top(ds, "v", n=5)
+    plan = _merge_plans(caplog)[-1]
+    assert plan["estimated_blocks"] == "250" and int(plan["levels"]) >= 1
     assert out2["v_top"].tolist() == sorted(df["v"], reverse=True)[:5]
     # sample: exact size, rows drawn from input, deterministic by seed
     s1 = verbs.sample(ds, k=10, seed=42)
@@ -175,8 +179,9 @@ def test_top_sample_tree_merge_many_blocks(rd, caplog):
     assert st["w_mode"].tolist() == mode.sort_index().tolist()
     assert st["w_antimode"].tolist() == anti.sort_index().tolist()
     # a 2-block input folds on the driver: no merge level at all
-    small = verbs.top(rd.from_pandas(df).repartition(2), "v", n=3,
-                      group_by=["g"])
+    small_ds = rd.from_pandas(df).repartition(2)
+    small = verbs.top(small_ds, "v", n=3, group_by=["g"])
+    verbs.top(small_ds, "v", n=5)
     plan = _merge_plans(caplog)[-1]
     assert plan["estimated_blocks"] == "2" and plan["levels"] == "0"
     pd.testing.assert_frame_equal(small.sort_values(["g", "top_idx"])
@@ -189,13 +194,13 @@ def test_merge_partials_fallback_without_estimate(rd, caplog, monkeypatch):
     # their measured block count plans the levels; answers unchanged
     caplog.set_level(logging.DEBUG, logger="miller_ray")
     df, ds = _tree_merge_input(rd)
-    want = verbs.top(ds, "v", n=3, group_by=["g"])
+    want = verbs.top(ds, "v", n=5)
     assert _merge_plans(caplog)[-1]["fallback"] == "False"
     monkeypatch.setattr(merge, "estimated_blocks", lambda ds: None)
-    got = verbs.top(ds, "v", n=3, group_by=["g"])
+    got = verbs.top(ds, "v", n=5)
     plan = _merge_plans(caplog)[-1]
     assert plan["fallback"] == "True" and int(plan["levels"]) >= 1
-    key = ["g", "top_idx"]
+    key = ["top_idx"]
     pd.testing.assert_frame_equal(got.sort_values(key).reset_index(drop=True),
                                   want.sort_values(key).reset_index(drop=True))
 
@@ -561,10 +566,11 @@ def test_empty_input_passes_through(rd, monkeypatch):
     assert dedup.exact_dedup(empty, ["txt"], "id").count() == 0
 
 
-def test_grouped_percentiles_dense_refinement_path(rd):
+def test_grouped_percentiles_dense_refinement_path(rd, monkeypatch):
     # force the histogram-refinement fallback (distinct values >
-    # max_uniques — the 10^12-row continuous-column path, Pass B/C)
+    # MAX_UNIQUES — the 10^12-row continuous-column path, Pass B/C)
     # and check it stays EXACT vs the R-type-1 definition
+    from miller_ray.engine import groupby
     from miller_ray.engine.exact import percentile_type1
     from miller_ray.engine.groupby import grouped_percentiles
 
@@ -572,8 +578,9 @@ def test_grouped_percentiles_dense_refinement_path(rd):
     df = pd.DataFrame({"g": np.arange(3000) % 3,
                        "v": rng.normal(size=3000)})  # ~all distinct
     ds = rd.from_pandas(df).repartition(6)
-    out = grouped_percentiles(ds, ["g"], "v", [10, 50, 99],
-                              max_uniques=10, nbins=64)
+    monkeypatch.setattr(groupby, "MAX_UNIQUES", 10)
+    monkeypatch.setattr(groupby, "NBINS", 64)
+    out = grouped_percentiles(ds, ["g"], "v", [10, 50, 99])
     for g, grp in df.groupby("g"):
         vals = np.sort(grp["v"].to_numpy())
         row = out[out["g"] == g].iloc[0]
