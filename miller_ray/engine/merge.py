@@ -23,7 +23,9 @@ Billions of Datasets, SIGMOD 2019, plans its merges the same way).
   (a ``materialize()`` first would cost a second executor start on
   every call).
 - ``merge_keyed``: partials that carry group keys, whose count grows
-  with the number of groups. ``combine`` is also group-wise: a key's
+  with the number of groups (``count -g``, ``stats1``'s moments and its
+  (group, value) count table for percentiles and modes, grouped
+  sketches, the checkpointed per-file fold, the ends verbs). ``combine`` is also group-wise: a key's
   output rows depend only on that key's input rows. The partials run
   once; their measured bytes choose the branch. Up to
   ``KEYED_FOLD_BYTES`` they are folded by one ``combine`` on the
@@ -34,7 +36,7 @@ Billions of Datasets, SIGMOD 2019, plans its merges the same way).
 ``bucket_apply`` is the package's keyed shuffle: one hash exchange on
 plain Ray tasks that co-partitions any number of inputs by the same key
 hash and calls a group-wise function once per bucket. The keyed folds,
-the shuffle join, ``join -s``, exact dedup's semi-join and the grouped
+the shuffle join, ``join -s``, exact dedup's semi-join and the
 mixed-type percentiles all run on it.
 """
 

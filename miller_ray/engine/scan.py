@@ -1,24 +1,65 @@
 """Ordered scan: the execution shape of Miller's stream-order verbs.
 
 ``step``, ``fill-down``, ``stats1 -w``, ``step slwin``, ``decimate -b/-e``,
-sort-path ``rank``, ``tail`` and ``fraction -c`` carry per-group state
-across records in stream order (SURVEY.md §2.3); ``tail`` keeps the
-input's block order, the others sort it first. Distributed, the stream
-is one global sort by (group..., order); each sorted block then needs
-only a small CARRY describing the blocks around it, so a hot group
-spanning many blocks still runs in parallel and no per-group reducer
-exists. Per-task memory is one block plus its carry; the driver only
-chains O(blocks) small summaries.
+sort-path ``rank``, ``tail``, ``fraction -c`` and the exact percentiles
+of value counts too large for the driver carry per-group state across
+records in stream order (SURVEY.md §2.3); ``tail`` keeps the input's
+block order, the others sort it first. Distributed, the stream is one
+global sort by (group..., order); each sorted block then needs only a
+small CARRY describing the blocks around it, so a hot group spanning
+many blocks still runs in parallel and no per-group reducer exists.
+Per-task memory is one block plus its carry; the driver only chains
+O(blocks) small summaries.
+
+Every sort of a Dataset in the package is ``sort_nulls_last``: null
+keys sort last in either direction, as Miller emits records missing the
+sort key last (sort.go).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from miller_ray.engine.merge import block_refs
+
+
+def _flagged_sort(ds, keys: list[str], descending: list[bool] | bool):
+    """``ds`` sorted by ``keys`` with null keys last, and the names of
+    the flag columns the sort leaves on it. Ray's sort places its block
+    boundaries by comparing key values, and a null does not compare
+    with a string, so an ascending ``is_null`` flag precedes each key:
+    a boundary then never compares a null with a value. NaN counts as
+    null."""
+    desc = [descending] * len(keys) if isinstance(descending, bool) \
+        else list(descending)
+    flags = [f"__n_{k}" for k in keys]
+
+    def flag(b):
+        if isinstance(b, pa.Table):
+            for f, k in zip(flags, keys):
+                b = b.append_column(f, pc.is_null(b[k], nan_is_null=True))
+            return b
+        return b.assign(**{f: b[k].isna() for f, k in zip(flags, keys)})
+
+    # the native block format: a pandas block stays pandas, so an
+    # object column of mixed types never goes through Arrow
+    flagged = ds.map_batches(flag, batch_format=None, batch_size=None)
+    return flagged.sort([c for pair in zip(flags, keys) for c in pair],
+                        descending=[x for d in desc for x in (False, d)]), flags
+
+
+def sort_nulls_last(ds, keys: list[str], descending: list[bool] | bool = False):
+    """``ds`` sorted by ``keys``, each ascending or, where ``descending``
+    (one bool, or one per key) says so, descending; rows with a null
+    key come last in either direction."""
+    srt, flags = _flagged_sort(ds, keys, descending)
+    return srt.drop_columns(flags)
 
 
 def group_index(df: pd.DataFrame, keys: list[str]) -> dict[tuple, np.ndarray]:
@@ -46,6 +87,19 @@ def running_carries(summaries: list[dict], fold: Callable) -> list[dict]:
     return out
 
 
+def running_totals(summaries: list[dict]) -> list[tuple[dict, dict]]:
+    """Per block, the pair (the sums of its keys' summaries in the
+    blocks before it, as ``running_carries`` gives them, and their sums
+    over ALL blocks). In a sorted stream a block needs to name only its
+    first and last group: the others lie wholly inside it."""
+    totals: dict = {}
+    for sm in summaries:
+        for k, v in sm.items():
+            totals[k] = totals[k] + v if k in totals else v
+    return [(before, {k: totals[k] for k in sm}) for before, sm in zip(
+        running_carries(summaries, operator.add), summaries)]
+
+
 def ordered_scan(ds, sort_keys: list[str] | None,
                  summarize: Callable[[pd.DataFrame], Any],
                  carries: Callable[[list], list],
@@ -53,7 +107,8 @@ def ordered_scan(ds, sort_keys: list[str] | None,
     """Run a per-block computation whose blocks depend on each other
     only through small carries, in the order of ``sort_keys``:
 
-    1. sort ``ds`` by ``sort_keys`` (``None``: keep its block order);
+    1. sort ``ds`` by ``sort_keys`` as ``sort_nulls_last`` does
+       (``None``: keep its block order);
     2. ``summarize(df)`` in one task per block -> a small summary;
     3. ``carries(summaries)`` on the driver -> one carry per block, in
        block order (e.g. the running state of every earlier block);
@@ -66,15 +121,17 @@ def ordered_scan(ds, sort_keys: list[str] | None,
     import ray
     import ray.data as rd
 
+    flags: list[str] = []
     if sort_keys is not None:
-        ds = ds.sort(sort_keys)
+        ds, flags = _flagged_sort(ds, sort_keys, False)
     # raw blocks, not to_arrow_refs(): that converts pandas blocks
     # through Arrow, which retypes an all-NaN float column to null
     # (object dtype once back in pandas)
     refs, _ = block_refs(ds)
 
     def frame(block) -> pd.DataFrame:
-        return block if isinstance(block, pd.DataFrame) else block.to_pandas()
+        df = block if isinstance(block, pd.DataFrame) else block.to_pandas()
+        return df.drop(columns=flags) if flags else df
 
     @ray.remote
     def _summarize(block) -> list:

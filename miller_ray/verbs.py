@@ -4,17 +4,18 @@ Each function re-expresses one reference verb (file cited per function,
 all in Miller's pkg/transformers/) Ray-Data-first: stateless per-record
 verbs are vectorized ``map_batches``; verbs that fold or scan go
 through the engine's primitives, picked by the shape of the per-block
-partial (``stats1`` percentiles still fold their value counts on the
-driver, in ``engine.groupby``):
+partial:
 - ``engine.merge.merge_partials`` for partials bounded per block
   (histogram bins, an ungrouped top-k);
 - ``engine.merge.merge_keyed`` for partials that carry group keys
   (``count -g``, ``stats1``, ``top -g``, ``head -g``, ``sample -g``);
 - ``engine.scan.ordered_scan`` for stream-order verbs (step, fill-down,
-  stats1 -w, decimate -b/-e, sort-path rank, tail, fraction -c).
+  stats1 -w, decimate -b/-e, sort-path rank, tail, fraction -c) and for
+  ``stats1`` percentiles whose value counts are too large for the
+  driver.
 The ends verbs (head -g, tail -g/-o, top, top -a, sample) share one
 per-group trim as both partial and combine (``_ends``). Buffer-all
-verbs (sort, tac) map to Dataset-wide operators.
+verbs (sort, tac) are one ``engine.scan.sort_nulls_last``.
 
 Divergences from Miller, by design (SURVEY.md §1.6):
 - output row order is undefined unless the verb sorts; callers compare
@@ -39,12 +40,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from miller_ray.engine.groupby import grouped_percentiles, grouped_stats
+from miller_ray.engine.groupby import (grouped_percentiles, grouped_stats,
+                                       value_counts)
 from miller_ray.engine import merge as engine_merge
 from miller_ray.engine.merge import (aggregate_by, block_refs, bucket_apply,
                                      distinct_values, key_hash, merge_keyed,
                                      merge_partials, pandas_combine)
-from miller_ray.engine.scan import group_index, ordered_scan, running_carries
+from miller_ray.engine.scan import (group_index, ordered_scan, running_carries,
+                                    running_totals, sort_nulls_last)
 
 _MOMENT_ACCS = {"count", "null_count", "sum", "mean", "min", "max", "var",
                 "stddev", "meaneb", "skewness", "kurtosis", "minlen", "maxlen"}
@@ -169,13 +172,13 @@ def stats1(ds, accs: list[str], fields: list[str],
            group_by: list[str] | None = None, interpolated: bool = False) -> pd.DataFrame:
     """Verb ``stats1 -a accs -f fields [-g group]`` (stats1.go:249-338).
 
-    Moment accumulators stream via partial aggregation; percentile
-    accumulators (pNN/median/mad) are exact, from per-block value-count
-    partials plus histogram refinement for groups with too many
-    distinct values (``engine.groupby.grouped_percentiles``; the
-    approximate path is the sketches). mode/antimode/distinct_count use
-    a value-counts reduction with the deterministic (count, value)
-    tie-break replacing Miller's first-seen rule.
+    Moment accumulators stream via partial aggregation. Percentile
+    accumulators (pNN/median/mad) are exact and mode/antimode/
+    distinct_count use the deterministic (count, value) tie-break in
+    place of Miller's first-seen rule; both read one (group, value)
+    count table per field (``engine.groupby.value_counts``), and the
+    percentiles are ranked off it by ``grouped_percentiles``. The
+    approximate path is the sketches.
     """
     group_by = group_by or []
     moment = [a for a in accs if a in _MOMENT_ACCS]
@@ -189,11 +192,12 @@ def stats1(ds, accs: list[str], fields: list[str],
     results: list[pd.DataFrame] = []
     if moment:
         results.append(grouped_stats(ds, group_by, fields, moment))
-    if pctls or extra:
-        ps = [float(a[1:]) for a in pctls]
-        for f in fields:
-            r = grouped_percentiles(ds, group_by, f, ps,
-                                    interpolated=interpolated, extra_accs=extra)
+    ps = [float(a[1:]) for a in pctls]
+    for f in fields:
+        counts = value_counts(ds, group_by, f) if modes else None
+        if pctls or extra:
+            r = grouped_percentiles(ds, group_by, f, ps, interpolated=interpolated,
+                                    extra_accs=extra, counts=counts)
             # Miller names outputs by the REQUESTED acc string (p05
             # stays f_p05, not the canonical f_p5)
             ren = {}
@@ -202,9 +206,8 @@ def stats1(ds, accs: list[str], fields: list[str],
                 if canon != f"{f}_{a}" and canon in r.columns:
                     ren[canon] = f"{f}_{a}"
             results.append(r.rename(columns=ren) if ren else r)
-    if modes:
-        for f in fields:
-            results.append(_value_stats(ds, group_by, f, modes))
+        if modes:
+            results.append(_value_stats(counts, group_by, f, modes))
 
     out = results[0]
     for r in results[1:]:
@@ -220,31 +223,19 @@ def stats1(ds, accs: list[str], fields: list[str],
     return out[ordered]
 
 
-def _value_stats(ds, group_by: list[str], field: str, modes: list[str]) -> pd.DataFrame:
-    """distinct_count / mode / antimode: per-block (group, value)
-    partial counts -> ``merge_keyed`` by (group, value). A driver fold
-    gives the (group, value) count table itself, reduced to one
-    candidate row per group. When the counts measure large they stay
-    distributed: per-block per-group CANDIDATES (arg-max/arg-min count +
-    distinct partials) -> ``merge_partials`` of the candidates, so the
-    distinct-value table never lands on the driver.
+def _value_stats(merged, group_by: list[str], field: str,
+                 modes: list[str]) -> pd.DataFrame:
+    """distinct_count / mode / antimode from ``field``'s (group, value)
+    count table ``merged`` (``value_counts``). A driver fold gives the
+    table itself, reduced to one candidate row per group. When the
+    counts measure large they stay distributed: per-block per-group
+    CANDIDATES (arg-max/arg-min count + distinct partials) ->
+    ``merge_partials`` of the candidates, so the distinct-value table
+    never lands on the driver.
 
     Tie-break: highest/lowest count, then smallest value
     (deterministic; Miller uses first-seen, stats1_accumulators.go:367-405)."""
     keys = list(group_by) if group_by else []
-    gcols = keys + [field]
-
-    def partial(t: pa.Table) -> pa.Table:
-        # null values never enter the accumulator (Miller ingests
-        # non-void only, stats1_accumulators.go) — without this filter
-        # an all-null group reports mode=null
-        t = t.filter(pc.is_valid(t[field]))
-        out = t.group_by(gcols).aggregate([([], "count_all")])
-        return out.rename_columns(
-            ["__n" if c == "count_all" else c for c in out.column_names])
-
-    parts = ds.select_columns(gcols).map_batches(partial, batch_format="pyarrow")
-    merged = merge_keyed(parts, gcols, aggregate_by(gcols))
     cand_cols = keys + ["__mode_v", "__mode_n", "__anti_v", "__anti_n", "__dc"]
 
     kk = keys or ["__g"]
@@ -997,7 +988,7 @@ def _rank_sorted(ds, field: str, group_by: list[str],
         return df
 
     ranked = ordered_scan(tagged, gb + [field], summarize, carries, apply)
-    return ranked.sort("__rk").drop_columns(["__rk"])
+    return sort_nulls_last(ranked, ["__rk"]).drop_columns(["__rk"])
 
 
 def rank(ds, field: str, group_by: list[str] | None = None,
@@ -1031,7 +1022,7 @@ def rank(ds, field: str, group_by: list[str] | None = None,
     vc["count"] = vc["count"].astype(np.int64)
     vc = vc.sort_values(keys).reset_index(drop=True)
     if group_by:
-        prior = vc.groupby(group_by, sort=False)["count"] \
+        prior = vc.groupby(group_by, sort=False, dropna=False)["count"] \
             .apply(lambda s: s.cumsum().shift(1).fillna(0)) \
             .reset_index(drop=True)
         vc[output_name] = (prior + 1).astype(np.int64)
@@ -1294,14 +1285,15 @@ def mlr_join(ds, left, left_on: list[str], right_on: list[str] | None = None,
 
 def sort(ds, keys: list[str], descending: list[bool] | bool = False):
     """Verb ``sort`` (sort.go:56-67): multi-key sort. Miller emits
-    records missing the key last; Arrow sorts nulls last by default."""
-    return ds.sort(keys, descending=descending)
+    records missing the key last: null keys sort last in either
+    direction."""
+    return sort_nulls_last(ds, keys, descending)
 
 
 def tac(ds, order_col: str):
     """Verb ``tac`` (tac.go): reverse — needs an explicit order column
     in a distributed setting."""
-    return ds.sort(order_col, descending=True)
+    return sort_nulls_last(ds, [order_col], True)
 
 
 def shuffle(ds, seed: int = 42):
@@ -1804,9 +1796,10 @@ def summary(ds, fields: list[str], summarizers: list[str] | None = None,
         return pd.DataFrame({c: [] for c in ["field_name"] + names})
     skew = grouped_stats(ds, [], [f for f in fields if f in numeric],
                          ["skewness"]) if "skewness" in names and numeric else None
-    pcts = {f: grouped_percentiles(ds, [], f, [25, 50, 75])
+    counts = {f: value_counts(ds, [], f) for f in fields} if needs_vc else {}
+    pcts = {f: grouped_percentiles(ds, [], f, [25, 50, 75], counts=counts.get(f))
             for f in fields} if needs_pct else {}
-    vcs = {f: _value_stats(ds, [], f,
+    vcs = {f: _value_stats(counts[f], [], f,
                            [m for m in ("mode", "distinct_count") if m in names])
            for f in fields} if needs_vc else {}
 
@@ -1923,35 +1916,29 @@ def cumulative_fraction(ds, field: str, group_by: list[str] | None = None):
     (Miller: stream order — distributed needs a declared order).
 
     An ``ordered_scan`` over ``ds`` sorted by (group, value desc): each
-    block's summary is its per-group sums; its carry is the sums of the
-    blocks before it and the group totals, both folded from the
-    summaries on the driver, so no pass precedes the sort. Returns a
-    Dataset in that order."""
+    block's summary is the sums of its first and last group; its carry
+    is the sums of the blocks before it and the group totals, both
+    folded from the summaries on the driver (``running_totals``), so no
+    pass precedes the sort. Records with a null group key get no
+    fraction. Returns a Dataset in that order."""
     group_by = group_by or []
     name = f"{field}_cumfrac"
 
     def sums(df: pd.DataFrame) -> dict:
-        return {k: float(df[field].iloc[idx].sum())
-                for k, idx in group_index(df, group_by).items()}
-
-    def carries(summaries: list[dict]) -> list:
-        totals: dict = {}
-        for sm in summaries:
-            for k, v in sm.items():
-                totals[k] = totals.get(k, 0.0) + v
-        return [(before, {k: totals[k] for k in sm}) for before, sm in zip(
-            running_carries(summaries, lambda a, b: a + b), summaries)]
+        ends = list(group_index(df, group_by).items())
+        return {k: float(df[field].iloc[idx].sum()) for k, idx in ends[:1] + ends[-1:]}
 
     def apply(df: pd.DataFrame, carry) -> pd.DataFrame:
         before, totals = carry
         out = np.full(len(df), np.nan)
         for k, idx in group_index(df, group_by).items():
-            cs = df[field].iloc[idx].cumsum().to_numpy(dtype=np.float64)
-            out[idx] = (before.get(k, 0.0) + cs) / totals[k]
+            x = df[field].iloc[idx]
+            out[idx] = (before.get(k, 0.0) + x.cumsum().to_numpy(dtype=np.float64)) \
+                / totals.get(k, x.sum())
         return df.assign(**{name: out})
 
-    srt = ds.sort(group_by + [field], descending=[False] * len(group_by) + [True])
-    return ordered_scan(srt, None, sums, carries, apply)
+    srt = sort_nulls_last(ds, group_by + [field], [False] * len(group_by) + [True])
+    return ordered_scan(srt, None, sums, running_totals, apply)
 
 
 def _edge_rows(m: int, n: int):
@@ -2385,7 +2372,7 @@ def sort_by_flags(ds, specs: list[tuple[str, str]]):
         return t
 
     keyed = ds.map_batches(add_keys, batch_format="pyarrow", zero_copy_batch=True)
-    sorted_ds = keyed.sort(keycols, descending=desc)
+    sorted_ds = sort_nulls_last(keyed, keycols, desc)
     return sorted_ds.map_batches(lambda t: t.drop_columns(keycols),
                                  batch_format="pyarrow", zero_copy_batch=True)
 
@@ -2587,8 +2574,8 @@ def _first_seen_sort(ds, keys: list[str], order_col: str):
         return t.append_column(
             "__first", pa.array(first[np.searchsorted(hs, key_hash(t, keys))]))
 
-    return ds.map_batches(rank, batch_format="pyarrow") \
-        .sort(["__first", order_col]).drop_columns(["__first"])
+    return sort_nulls_last(ds.map_batches(rank, batch_format="pyarrow"),
+                           ["__first", order_col]).drop_columns(["__first"])
 
 
 def group_by_verb(ds, fields: list[str], order_col: str):

@@ -70,3 +70,25 @@ def test_folds_and_scans_run_on_the_engine_primitives():
     src = (PKG / "verbs.py").read_text(encoding="utf-8")
     for token in ("iter_batches", ".unique(", "concurrency=1"):
         assert token not in src, token
+
+
+def test_percentiles_fold_through_merge_keyed():
+    # exact percentiles read one merge_keyed value-count table: no
+    # driver batch loop and no distinct-value cap or histogram bins
+    src = (PKG / "engine/groupby.py").read_text(encoding="utf-8")
+    for token in ("iter_batches", "MAX_UNIQUES", "NBINS"):
+        assert token not in src, token
+
+
+def test_datasets_sort_only_nulls_last():
+    # every Dataset sort in the engine and the verbs is scan's one
+    # null-safe sort; np.sort is the only other .sort( call
+    users = []
+    for p in [*sorted((PKG / "engine").glob("*.py")), PKG / "verbs.py"]:
+        for top in ast.parse(p.read_text(encoding="utf-8")).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                        and n.func.attr == "sort" \
+                        and getattr(n.func.value, "id", None) != "np":
+                    users.append((p.name, getattr(top, "name", None)))
+    assert users == [("scan.py", "_flagged_sort")], users

@@ -66,6 +66,13 @@ SITES = {
     "value_stats_all_null_g": (lambda ds: verbs.stats1(
         _all_null_g(ds), ["distinct_count", "mode", "antimode"], ["v"], ["g"]),
         True),
+    "percentiles": (lambda ds: verbs.stats1(
+        ds, ["p10", "p50", "p99", "median", "mad", "count"], ["v"], ["g"]), True),
+    "percentiles_i": (lambda ds: verbs.stats1(
+        ds, ["p10", "p50", "p99", "median", "mad", "count"], ["v"], ["g"],
+        interpolated=True), True),
+    "percentiles_all_null_g": (lambda ds: verbs.stats1(
+        _all_null_g(ds), ["p10", "p50", "median", "mad"], ["v"], ["g"]), True),
     # a string field's percentiles take the per-group bucket path
     "string_percentiles": (lambda ds: verbs.stats1(
         ds, ["p50", "count"], ["txt"], ["g"]), True),
@@ -80,9 +87,7 @@ SITES = {
     "grouped_sketches": (lambda ds: _estimates(build_grouped_sketches(
         ds, ["g"], [SketchSpec.column("h", lambda: HyperLogLog(p=10), "id")])),
         True),
-    # rank's sort path cannot sort null group keys yet: non-null g only
-    "rank": (lambda ds: verbs.rank(ds.filter(expr="is_valid(g)"), "v", ["g"])
-             .to_pandas(), False),
+    "rank": (lambda ds: verbs.rank(ds, "v", ["g"]).to_pandas(), True),
     "head": (lambda ds: _group_sizes(verbs.head(ds, 2, ["g"])), True),
     "head_by": (lambda ds: verbs.head(ds, 2, ["g"], order_by="o").to_pandas(), True),
     "tail": (lambda ds: _group_sizes(verbs.tail(ds, 2, ["g"])), True),
@@ -185,6 +190,79 @@ def test_value_stats_many_blocks_with_null_values(ray_session, monkeypatch):
         got = verbs.stats1(ds, accs, ["v"], ["g"]).set_index("g").sort_index()
         pd.testing.assert_frame_equal(got, want, check_dtype=False,
                                       check_names=False)
+
+
+@pytest.fixture(scope="module")
+def null_blocks(ray_session):
+    """5 Arrow blocks of 6 rows: g cycles a/None/b, v is 0..29."""
+    import ray.data as rd
+
+    t = pa.table({"g": np.array(["a", None, "b"] * 10, dtype=object),
+                  "v": np.arange(30)})
+    return rd.from_arrow([t.slice(i, 6) for i in range(0, 30, 6)])
+
+
+@pytest.mark.parametrize("fold_bytes", [merge.KEYED_FOLD_BYTES, 0])
+def test_null_group_percentiles_do_not_split_per_block(null_blocks, fold_bytes,
+                                                       monkeypatch, caplog):
+    # the null group's value counts fold as one group, not one per block
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", fold_bytes)
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    out = verbs.stats1(null_blocks, ["p50", "mode", "count"], ["v"], ["g"])
+    # one fold for the moments, one value-count table for p50 and mode
+    assert sum(r.getMessage().startswith("merge_keyed:")
+               for r in caplog.records) == 2
+    assert len(out) == 3
+    null = out[out["g"].isna()]
+    assert len(null) == 1
+    assert null["v_p50"].iloc[0] == 16 and null["v_count"].iloc[0] == 10
+    assert null["v_mode"].iloc[0] == 1
+
+
+def test_null_keys_sort_last(null_blocks):
+    # sort, sort descending and fraction -c take null group keys, which
+    # Ray's own sort cannot compare with strings; nulls come last
+    up = verbs.sort(null_blocks, ["g"]).to_pandas()
+    assert up["g"].tolist() == ["a"] * 10 + ["b"] * 10 + [None] * 10
+    down = verbs.sort(null_blocks, ["g", "v"], descending=[True, False]).to_pandas()
+    assert down["g"].tolist() == ["b"] * 10 + ["a"] * 10 + [None] * 10
+    assert down["v"].tolist() == [*range(2, 30, 3), *range(0, 30, 3), *range(1, 30, 3)]
+    frac = verbs.cumulative_fraction(null_blocks, "v", ["g"]).to_pandas()
+    assert len(frac) == 30
+    assert frac["g"].tolist()[-10:] == [None] * 10
+
+
+@pytest.mark.parametrize("fold_bytes", [merge.KEYED_FOLD_BYTES, 0])
+def test_percentiles_equal_the_exact_sort(ds, fold_bytes, monkeypatch):
+    # every group, the null one and an all-null key included, ungrouped,
+    # -i and empty input: the exact per-group sort on both branches
+    from miller_ray.engine.exact import percentile_interpolated, percentile_type1
+    from miller_ray.engine.groupby import grouped_percentiles
+
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", fold_bytes)
+    pdf = ds.to_pandas()
+    ps = [0, 10, 50, 99, 100]
+    for keys, data, frame in ((["g"], ds, pdf), ([], ds, pdf),
+                              (["g"], _all_null_g(ds), pdf.assign(g=None))):
+        # the null key as a value, and one key when ungrouped
+        want = frame.assign(g=frame["g"].fillna("~") if keys else 0)
+        for interpolated, pfn in ((False, percentile_type1),
+                                  (True, percentile_interpolated)):
+            out = grouped_percentiles(data, keys, "y", ps, interpolated,
+                                      ["median", "mad"])
+            got = out.assign(g=out["g"].fillna("~") if keys else 0)
+            assert len(got) == want["g"].nunique()
+            for key, grp in want.groupby("g"):
+                row = got[got["g"] == key]
+                vals = np.sort(grp["y"].to_numpy())
+                for p in ps:
+                    assert row[f"y_p{p}"].iloc[0] == pfn(vals, p), (keys, p)
+                assert row["y_median"].iloc[0] == pfn(vals, 50)
+                assert row["y_mad"].iloc[0] == pytest.approx(
+                    np.abs(vals - vals.mean()).mean(), rel=1e-9)
+    empty = grouped_percentiles(ds.filter(expr="v < 0"), ["g"], "y", [50], False,
+                                ["median"])
+    assert empty.empty and list(empty.columns) == ["g", "y_p50", "y_median"]
 
 
 def test_merge_keyed_logs_both_branches(ray_session, caplog, monkeypatch):

@@ -165,9 +165,10 @@ def test_top_sample_tree_merge_many_blocks(rd, caplog):
     assert len(s1) == 10
     assert sorted(s1["v"]) == sorted(s2["v"])
     assert set(s1["v"]).issubset(set(df["v"]))
-    # mode/antimode/distinct_count fold through the same merge
+    # mode/antimode/distinct_count fold their value counts by merge_keyed
+    caplog.clear()
     st = verbs.stats1(ds, ["distinct_count", "mode", "antimode"], ["w"], ["g"])
-    assert int(_merge_plans(caplog)[-1]["levels"]) >= 1
+    assert any(r.getMessage().startswith("merge_keyed:") for r in caplog.records)
     counts = df.groupby(["g", "w"]).size().reset_index(name="n")
     mode = counts.sort_values(["n", "w"], ascending=[False, True]) \
                  .drop_duplicates("g").set_index("g")["w"]
@@ -567,22 +568,29 @@ def test_empty_input_passes_through(rd, monkeypatch):
 
 
 def test_grouped_percentiles_dense_refinement_path(rd, monkeypatch):
-    # force the histogram-refinement fallback (distinct values >
-    # MAX_UNIQUES — the 10^12-row continuous-column path, Pass B/C)
-    # and check it stays EXACT vs the R-type-1 definition
-    from miller_ray.engine import groupby
-    from miller_ray.engine.exact import percentile_type1
+    # force the distributed branch (value counts above KEYED_FOLD_BYTES:
+    # the 10^12-row continuous-column path, an ordered_scan over the
+    # sorted counts) and check it stays EXACT vs the R-type-1 and
+    # type-7 definitions, grouped and ungrouped
+    from miller_ray.engine.exact import percentile_interpolated, percentile_type1
     from miller_ray.engine.groupby import grouped_percentiles
 
     rng = np.random.default_rng(7)
     df = pd.DataFrame({"g": np.arange(3000) % 3,
                        "v": rng.normal(size=3000)})  # ~all distinct
     ds = rd.from_pandas(df).repartition(6)
-    monkeypatch.setattr(groupby, "MAX_UNIQUES", 10)
-    monkeypatch.setattr(groupby, "NBINS", 64)
-    out = grouped_percentiles(ds, ["g"], "v", [10, 50, 99])
-    for g, grp in df.groupby("g"):
-        vals = np.sort(grp["v"].to_numpy())
-        row = out[out["g"] == g].iloc[0]
-        for p in (10, 50, 99):
-            assert row[f"v_p{p}"] == percentile_type1(vals, p), (g, p)
+    monkeypatch.setattr(merge, "KEYED_FOLD_BYTES", 0)
+    ps = [10, 50, 99]
+    for interpolated, pfn in ((False, percentile_type1),
+                              (True, percentile_interpolated)):
+        out = grouped_percentiles(ds, ["g"], "v", ps, interpolated=interpolated)
+        for g, grp in df.groupby("g"):
+            vals = np.sort(grp["v"].to_numpy())
+            row = out[out["g"] == g].iloc[0]
+            for p in ps:
+                assert row[f"v_p{p}"] == pfn(vals, p), (interpolated, g, p)
+        whole = grouped_percentiles(ds, [], "v", ps, interpolated=interpolated)
+        assert len(whole) == 1
+        for p in ps:
+            assert whole[f"v_p{p}"].iloc[0] == pfn(np.sort(df["v"].to_numpy()), p), \
+                (interpolated, p)
