@@ -8,10 +8,14 @@ Ray-Data-native:
 - The unit of checkpointing is the INPUT FILE (at 100 TB scale, ~1 GB
   parquet shards — stable identities, unlike Ray block ids which change
   with parallelism; SURVEY.md §7.4 "Resume layout").
-- One streaming pass over the *pending* files only
-  (``read_parquet(paths, include_paths=True)``): the sketch builds'
-  partial function, keyed by ``path``, emits one partial row per
-  (block, file), and ``merge_keyed`` folds them to ONE serialized
+- One streaming pass over the *pending* files only, read by
+  ``engine.scan.read_shards`` (read tasks capped at the CPU count, the
+  mmap filesystem for local paths, each file in runs of up to 131072
+  rows tagged with the file as ``path``). The sketch builds' partial
+  function, keyed by ``path`` and fused into the read tasks, cuts each
+  file's run as a zero-copy slice and emits one partial row per run, so
+  a file of up to 131072 rows yields one partial and only partial blobs
+  reach the object store; ``merge_keyed`` folds them to ONE serialized
   sketch row per file, with the file's row count.
 - Each finished partition writes a blob file named by its content hash
   plus a manifest line ``{path, rows, blobs: {spec: file}, sha256}`` —
@@ -34,6 +38,7 @@ from typing import Any
 import pyarrow as pa
 
 from miller_ray.engine.merge import merge_keyed
+from miller_ray.engine.scan import read_shards
 from miller_ray.engine.udaf import (SketchSpec, _merge_fn, _partial_fn, bind_aliases,
                                     built_specs, merge_blobs)
 
@@ -98,17 +103,17 @@ def checkpointed_build(input_paths: list[str], specs: list[SketchSpec],
     finished partitions are skipped on resume. Also records per-partition
     row counts (lineage metrics) in the manifest.
     """
-    import ray.data as rd
-
     os.makedirs(ckpt_dir, exist_ok=True)
     done = load_manifest(ckpt_dir)
     pending = [p for p in input_paths if p not in done]
     built = built_specs(specs)
 
     if pending:
-        ds = rd.read_parquet(pending, include_paths=True)
-        parts = ds.map_batches(_partial_fn(built, ["path"]), batch_format="pyarrow",
-                               zero_copy_batch=True, batch_size=131072)
+        # fused into the read tasks: only partial blobs reach the
+        # object store, one per file of up to 131072 rows
+        parts = read_shards(pending, 131072, include_paths=True).map_batches(
+            _partial_fn(built, ["path"]), batch_format="pyarrow",
+            zero_copy_batch=True, batch_size=None)
         merged = merge_keyed(parts, ["path"], _merge_fn(built, ["path"]))
         # the distributed branch's merged rows stream block by block
         batches = [merged] if isinstance(merged, pa.Table) else \

@@ -13,12 +13,15 @@ O(blocks) small summaries.
 
 Every sort of a Dataset in the package is ``sort_nulls_last``: null
 keys sort last in either direction, as Miller emits records missing the
-sort key last (sort.go).
+sort key last (sort.go). Every read of Parquet shard files by the
+engine and the pipelines is ``read_shards``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+import os
 from typing import Any, Callable
 
 import numpy as np
@@ -26,7 +29,76 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from miller_ray.engine.merge import block_refs
+from miller_ray.engine.merge import block_refs, log
+
+
+def read_shards(paths: list[str], batch_rows: int, include_paths: bool = False):
+    """A Dataset over the Parquet shard files ``paths``: the one shard
+    reader of ``read_tokens`` and ``checkpointed_build``.
+
+    - Each file is read in runs of ``batch_rows`` rows that cross its
+      row groups, so a file of at most ``batch_rows`` rows is one table
+      and, in a ``map_batches(batch_size=None)`` fused into the read
+      task, one partial-sketch blob. Ray's ``read_parquet`` yields a
+      table per row group (and ~10k-row batches), so a per-batch build emits
+      several KB..MB partials per shard and the merge tree becomes the
+      scaling bottleneck (measured: 448 partials -> ~8 s of merge at 2
+      CPUs on a 4M-row table; one partial per shard -> <1 s).
+    - Read tasks are capped at the schedulable CPU count: each task
+      then reads several shard files in turn, so a single wave of tasks
+      covers the input instead of paying dispatch per file (measured
+      0.9 s -> ~0.4 s on a 64-shard tokens table, with 5.4 s of useful
+      remote time either way). More tasks than cores adds dispatch, not
+      parallelism; fewer files than cores keeps one task per file.
+    - Local paths go through the mmap filesystem: uncompressed PLAIN
+      pages decode straight off page-cache mappings instead of buffered
+      read copies (measured 1.4x single-thread scan throughput through
+      the same pyarrow Parquet reader).
+
+    ``include_paths`` adds each row's file as column ``path``, the very
+    string given in ``paths``. Logs one ``read_shards:`` line at DEBUG.
+    """
+    import ray
+    import ray.data as rd
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class Shards(Datasource):
+        def estimate_inmemory_data_size(self):
+            return None
+
+        def get_read_tasks(self, parallelism: int) -> list:
+            parts = [[paths[i] for i in part] for part in
+                     np.array_split(np.arange(len(paths)), parallelism) if part.size]
+            return [ReadTask(functools.partial(_read_files, files, batch_rows, include_paths),
+                             BlockMetadata(num_rows=None, size_bytes=None,
+                                           input_files=files, exec_stats=None))
+                    for files in parts]
+
+    cpus = int(ray.cluster_resources().get("CPU", os.cpu_count() or 8)) \
+        if ray.is_initialized() else (os.cpu_count() or 8)
+    tasks = max(1, min(len(paths), cpus))
+    log.debug("read_shards: files=%d read_tasks=%d batch_rows=%d",
+              len(paths), tasks, batch_rows)
+    return rd.read_datasource(Shards(), override_num_blocks=tasks)
+
+
+def _read_files(files: list[str], batch_rows: int, include_paths: bool):
+    """``read_shards``' read task: each file's rows in runs of up to
+    ``batch_rows``, one table per run."""
+    import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
+
+    mmap = pafs.LocalFileSystem(use_mmap=True)
+    for p in files:
+        fs, path = pafs.FileSystem.from_uri(p) if "://" in p else (mmap, p)
+        with fs.open_input_file(path) as f:
+            # no decode threads: there is already one read task per CPU
+            for b in pq.ParquetFile(f).iter_batches(batch_size=batch_rows,
+                                                    use_threads=False):
+                t = pa.Table.from_batches([b])
+                yield t.append_column("path", pa.array([p] * t.num_rows, pa.string())) \
+                    if include_paths else t
 
 
 def _flagged_sort(ds, keys: list[str], descending: list[bool] | bool):

@@ -37,11 +37,12 @@ class via map_batches directly — see stages/ for examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from miller_ray.engine.merge import merge_keyed, merge_partials
 
@@ -53,6 +54,10 @@ class SketchSpec:
     ``extract`` maps a pyarrow Table batch to the value vector fed to
     ``sketch.update_batch`` (e.g. a column, or the flattened values of a
     list column via ``pa.ListArray.values`` — zero-copy).
+
+    ``columns`` names the batch columns the spec reads; the keyed
+    partial builder copies only those (and the keys) when it regroups a
+    batch. ``None`` means any column may be read, so every one is kept.
     """
 
     name: str
@@ -61,15 +66,19 @@ class SketchSpec:
     update: Callable[[Any, pa.Table, dict], None] | None = None
     # name of the spec whose merged sketch this one returns (see alias)
     alias_of: str | None = None
+    columns: tuple[str, ...] | None = None
 
     @staticmethod
     def custom(name: str, factory: Callable[[], Any],
-               update: Callable[[Any, pa.Table, dict], None]) -> "SketchSpec":
+               update: Callable[[Any, pa.Table, dict], None],
+               columns: Iterable[str] | None = None) -> "SketchSpec":
         """Spec with a custom per-batch update hook ``update(sketch,
         batch, cache)`` — lets several sketches share one pass over the
         data via the per-batch cache (e.g. one doc_id hash pass feeding
-        both the HyperLogLog and the Bloom filter)."""
-        return SketchSpec(name, factory, lambda t, cache=None: None, update)
+        both the HyperLogLog and the Bloom filter). ``columns`` names
+        the columns ``update`` reads (``None``: unknown)."""
+        return SketchSpec(name, factory, lambda t, cache=None: None, update,
+                          columns=None if columns is None else tuple(columns))
 
     @staticmethod
     def alias(name: str, of: str) -> "SketchSpec":
@@ -77,11 +86,12 @@ class SketchSpec:
         that sketch already answers (the exact token histogram's top-k).
         The builders build nothing for it and return ``of``'s object."""
         return SketchSpec(name, EmptyPartial, lambda t, cache=None: None,
-                          lambda sk, t, cache: None, of)
+                          lambda sk, t, cache: None, of, ())
 
     @staticmethod
     def column(name: str, factory: Callable[[], Any], col: str) -> "SketchSpec":
-        return SketchSpec(name, factory, lambda t, cache=None, c=col: t[c])
+        return SketchSpec(name, factory, lambda t, cache=None, c=col: t[c],
+                          columns=(col,))
 
     @staticmethod
     def flat_list_column(name: str, factory: Callable[[], Any], col: str) -> "SketchSpec":
@@ -106,7 +116,7 @@ class SketchSpec:
                 cache[key] = out
             return out
 
-        return SketchSpec(name, factory, ex)
+        return SketchSpec(name, factory, ex, columns=(col,))
 
 
 class EmptyPartial:
@@ -152,28 +162,58 @@ def apply_spec(sk, spec: "SketchSpec", t: pa.Table, cache: dict) -> None:
 
 def _group_rows(t: pa.Table, keys: list[str]) -> list[np.ndarray]:
     """Each group's row positions in ``t`` (ascending) by columns
-    ``keys``, a null key being one group: the one grouping rule of
-    ``_partial_fn`` and of ``_merge_fn``."""
-    return list(t.select(keys).to_pandas().groupby(
-        keys, sort=False, dropna=False).indices.values())
+    ``keys``, groups in order of first appearance: the one grouping
+    rule of ``_partial_fn`` and of ``_merge_fn``. A null key is one
+    group, and a float NaN joins it (as ``merge.key_hash`` and pandas'
+    ``dropna=False`` have it). Each key's ``dictionary_encode`` indices
+    fold into one dense int64 code per row."""
+    codes, n = np.zeros(t.num_rows, np.int64), 1
+    for k in keys:
+        a = t[k].combine_chunks()
+        if pa.types.is_dictionary(a.type):
+            a = a.dictionary_decode()
+        if pa.types.is_floating(a.type):
+            # NaN to null, and -0.0 to 0.0 (+ 0.0), so equal keys code alike
+            a = pc.if_else(pc.is_nan(a), pa.scalar(None, a.type), pc.add(a, 0))
+        enc = a.dictionary_encode(null_encoding="encode")
+        codes = codes * len(enc.dictionary) + enc.indices.to_numpy()
+        if n > 1:  # dense again, in first-appearance order
+            enc = pa.array(codes).dictionary_encode()
+            codes = enc.indices.to_numpy().astype(np.int64)
+        n = len(enc.dictionary)
+    order = np.argsort(codes, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(codes, minlength=n))[:-1]) \
+        if t.num_rows else []
 
 
 def _partial_fn(specs: list[SketchSpec], keys=()):
     """Batch -> one partial row per group of ``keys`` in the batch (one
     row in all without ``keys``): the group's key values, its row count
-    ``__rows`` and one blob per spec."""
+    ``__rows`` and one blob per spec.
+
+    When every group's rows form one contiguous run (the checkpoint's
+    file runs keyed by ``path``), each group is a zero-copy slice of the
+    batch. Otherwise one ``take`` copies the rows into group order,
+    keeping only the keys and the columns the specs read
+    (``SketchSpec.columns``; every column if a spec leaves it ``None``).
+    Either way each group's rows keep their order, so its blobs are
+    those of the group's rows filtered out of the batch."""
     keys = list(keys)
+    read = None if any(s.columns is None for s in specs) else \
+        list(dict.fromkeys([*keys, *(c for s in specs for c in s.columns)]))
 
     def build(t: pa.Table) -> pa.Table:
         if keys:
             groups = _group_rows(t, keys)
             out = {k: t[k].take(pa.array([g[0] for g in groups], pa.int64()))
                    for k in keys}
-            # one take into group order (rows keep their order within a
-            # group), then each group is a zero-copy slice of it
-            grouped = t.take(np.concatenate([np.zeros(0, np.int64), *groups]))
-            starts = np.cumsum([0, *map(len, groups)])
-            subs = [grouped.slice(a, b - a) for a, b in zip(starts, starts[1:])]
+            if all(g[-1] - g[0] < len(g) for g in groups):
+                subs = [t.slice(g[0], len(g)) for g in groups]
+            else:
+                src = t if read is None else t.select(read)
+                grouped = src.take(np.concatenate([np.zeros(0, np.int64), *groups]))
+                starts = np.cumsum([0, *map(len, groups)])
+                subs = [grouped.slice(a, b - a) for a, b in zip(starts, starts[1:])]
         else:
             out, subs = {}, [t]
         out["__rows"] = [sub.num_rows for sub in subs]

@@ -15,12 +15,13 @@ unbounded:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray.data as rd
-
+from miller_ray.engine.scan import read_shards
 from miller_ray.engine.udaf import SketchSpec, build_grouped_sketches, build_sketches
 from miller_ray.schema import sf_to_tokens_rows, tokens_parquet_path
 from miller_ray.sketches import BloomFilter, BoundedIntHist, HyperLogLog, KLL, TDigest
@@ -29,40 +30,14 @@ from miller_ray.schema import VOCAB_SIZE
 
 def read_tokens(sf_dir: str, n_rows: int | None = None):
     """Tokens Dataset for a testdata sf dir (deterministic synthetic,
-    cached as a multi-file Parquet dataset under /tmp).
-
-    Read tasks are capped at the schedulable CPU count: each task then
-    bundles several shard files (and emits one partial-sketch blob), so
-    a single wave of tasks covers the input instead of paying dispatch
-    per 3k-row file — measured 0.9 s -> ~0.4 s on the 64-shard bench
-    table, with 5.4 s of useful remote time either way. More tasks than
-    cores adds dispatch, not parallelism; fewer files than cores keeps
-    one task per file."""
-    import os
-
-    import ray
-
+    cached as a multi-file Parquet dataset under /tmp), read by
+    ``engine.scan.read_shards`` in batches of one shard's rows (at least
+    3125), so each read batch is a whole shard and emits one partial."""
     n = n_rows or sf_to_tokens_rows(sf_dir)
     path = tokens_parquet_path(n)
-    n_files = len([f for f in os.listdir(path) if f.endswith(".parquet")])
-    cpus = int(ray.cluster_resources().get("CPU", os.cpu_count() or 8)) \
-        if ray.is_initialized() else (os.cpu_count() or 8)
-    # batch_size (forwarded to the Arrow to_batches scan) = one shard's
-    # row count: the reader otherwise splits each row group into ~10k-row
-    # batches, so a downstream per-batch partial-sketch build emits 7x
-    # more KB..MB partial blobs than shards and the merge tree becomes
-    # the scaling bottleneck (measured: 448 partials -> ~8 s of merge at
-    # 2 CPUs on the 4M-row table; one partial per shard -> <1 s).
-    file_rows = max(3125, -(-n // max(n_files, 1)))
-    # mmap local filesystem: the uncompressed PLAIN token pages decode
-    # straight off page-cache mappings instead of buffered read copies
-    # (measured 1.4x single-thread scan throughput through the same
-    # pyarrow dataset scanner Ray uses)
-    import pyarrow.fs as pafs
-
-    return rd.read_parquet(path, override_num_blocks=max(1, min(n_files, cpus)),
-                           batch_size=file_rows,
-                           filesystem=pafs.LocalFileSystem(use_mmap=True))
+    files = sorted(os.path.join(path, f) for f in os.listdir(path)
+                   if f.endswith(".parquet"))
+    return read_shards(files, max(3125, -(-n // max(len(files), 1))))
 
 
 def _token_counts(t, cache) -> np.ndarray:
@@ -110,7 +85,8 @@ def default_specs(hll_p: int = 14, kll_k: int = 200,
                   td_compression: float = 200.0, bloom_capacity: int = 1_000_000):
     return [
         SketchSpec.custom("hll_doc_id", lambda: HyperLogLog(p=hll_p),
-                          lambda sk, t, cache: sk.update_hashes(_doc_id_hashes(t, cache))),
+                          lambda sk, t, cache: sk.update_hashes(_doc_id_hashes(t, cache)),
+                          ["doc_id"]),
         SketchSpec.column("hll_source", lambda: HyperLogLog(p=hll_p), "source"),
         # token ids are bounded, so the exact histogram's top-k answers
         # the heavy-hitter question
@@ -122,10 +98,12 @@ def default_specs(hll_p: int = 14, kll_k: int = 200,
         # instead of an O(n log n) sort, the flagship's bandwidth hot spot
         SketchSpec.custom("hist_token_values",
                           lambda: BoundedIntHist(domain=VOCAB_SIZE),
-                          lambda sk, t, cache: sk.update_counts(_token_counts(t, cache))),
+                          lambda sk, t, cache: sk.update_counts(_token_counts(t, cache)),
+                          ["tokens"]),
         SketchSpec.custom("bloom_doc_id",
                           lambda: BloomFilter(capacity=bloom_capacity, fpp=0.01),
-                          lambda sk, t, cache: sk.update_hashes(_doc_id_hashes(t, cache))),
+                          lambda sk, t, cache: sk.update_hashes(_doc_id_hashes(t, cache)),
+                          ["doc_id"]),
     ]
 
 

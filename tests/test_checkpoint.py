@@ -85,6 +85,28 @@ def test_keyed_fold_branches_write_the_same_checkpoint(ray_session, token_files,
     assert sk1 == sk2
 
 
+def test_build_reads_its_files_in_at_most_one_task_per_cpu(ray_session, token_files,
+                                                           tmp_path, caplog):
+    """The cold build logs its shard read: every pending file, at most
+    one read task per CPU, batches of up to 131072 rows. A resume with
+    nothing pending reads nothing."""
+    import ray
+
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    ck = str(tmp_path / "r")
+    checkpointed_build(token_files, _specs(), ck)
+    reads = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("read_shards:")]
+    assert len(reads) == 1, reads
+    plan = dict(kv.split("=") for kv in reads[0].split()[1:])
+    assert int(plan["files"]) == len(token_files)
+    assert 1 <= int(plan["read_tasks"]) <= int(ray.cluster_resources()["CPU"])
+    assert int(plan["batch_rows"]) == 131072
+    caplog.clear()
+    checkpointed_build(token_files, _specs(), ck)
+    assert not [r for r in caplog.records if r.getMessage().startswith("read_shards:")]
+
+
 def test_alias_spec_writes_no_blob(ray_session, token_files, tmp_path):
     """An alias spec gets no blob file or manifest entry; cold build and
     resume both return its target's sketch under the alias."""

@@ -92,3 +92,17 @@ def test_datasets_sort_only_nulls_last():
                         and getattr(n.func.value, "id", None) != "np":
                     users.append((p.name, getattr(top, "name", None)))
     assert users == [("scan.py", "_flagged_sort")], users
+
+
+def test_shards_are_read_in_one_engine_function():
+    # the sketch builds read Parquet shards only through scan.read_shards:
+    # no Ray Parquet reader in the engine or the pipelines
+    users = set()
+    for p in [*sorted((PKG / "engine").glob("*.py")),
+              *sorted((PKG / "pipelines").glob("*.py"))]:
+        for top in ast.parse(p.read_text(encoding="utf-8")).body:
+            if any(isinstance(n, ast.Attribute)
+                   and n.attr in ("read_parquet", "read_datasource")
+                   for n in ast.walk(top)):
+                users.add((p.relative_to(PKG).as_posix(), getattr(top, "name", None)))
+    assert users == {("engine/scan.py", "read_shards")}, users

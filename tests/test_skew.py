@@ -119,19 +119,28 @@ def _split_cases():
     band = pc.cast(pc.divide(t["n_tok"], 200), pa.int64())
     src = t["source"].to_pylist()
     nulls = pa.array([None if i % 9 == 0 else s for i, s in enumerate(src)])
+    by_source = t.sort_by("source")
     return {
         "one key": (t, ["source"]),
         "two keys": (t.append_column("band", band), ["source", "band"]),
         "null key": (t.set_column(3, "source", nulls), ["source"]),
+        # contiguous groups: each group is a slice of the batch
+        "sorted key": (pa.concat_tables([by_source.slice(0, 250), by_source.slice(250)]),
+                       ["source"]),
+        "one group": (t.set_column(3, "source", pa.array(["web"] * t.num_rows)),
+                      ["source"]),
     }
 
 
-@pytest.mark.parametrize("case", ["one key", "two keys", "null key"])
+@pytest.mark.parametrize("case", ["one key", "two keys", "null key", "sorted key",
+                                  "one group"])
 def test_grouped_partials_equal_per_group_filter(case):
     """Each group's partial blobs are those built over the group's rows
     in their original order (``t.filter(key == g)``): the grouped build
-    splits a batch without reordering rows within a group. Rows with a
-    null key form one group (``t.filter(is_null(key))``)."""
+    splits a batch without reordering rows within a group, whether it
+    slices contiguous groups out of the batch or takes only the columns
+    the specs declare. Rows with a null key form one group
+    (``t.filter(is_null(key))``)."""
     import pyarrow.compute as pc
 
     from miller_ray.engine.udaf import _partial_fn, apply_spec, built_specs
@@ -139,6 +148,7 @@ def test_grouped_partials_equal_per_group_filter(case):
 
     t, keys = _split_cases()[case]
     specs = built_specs(default_specs(bloom_capacity=1000))
+    assert all(s.columns is not None for s in specs)
     part = _partial_fn(specs, keys)(t)
     groups = list(zip(*(part[k].to_pylist() for k in keys)))
     want_groups = set(zip(*(t[k].to_pylist() for k in keys)))
@@ -156,3 +166,71 @@ def test_grouped_partials_equal_per_group_filter(case):
             sk = s.factory()
             apply_spec(sk, s, sub, cache)
             assert part[s.name][i].as_py() == sk.to_bytes(), (case, g, s.name)
+
+
+@pytest.mark.parametrize("case", ["one key", "sorted key"])
+def test_group_carries_the_columns_its_specs_read(case):
+    """On the take path (groups interleaved) a group carries the keys
+    and the columns its specs declare, and every column once a custom
+    spec leaves ``columns`` unset; on the slice path (contiguous groups)
+    it is a slice of the whole batch."""
+    from miller_ray.engine.udaf import _partial_fn
+
+    t, keys = _split_cases()[case]
+    seen: list[list[str]] = []
+
+    def specs(columns):
+        return [SketchSpec.column("h", lambda: HyperLogLog(p=10), "doc_id"),
+                SketchSpec.custom("seen", lambda: HyperLogLog(p=10),
+                                  lambda sk, b, cache: seen.append(b.column_names),
+                                  columns)]
+
+    n_groups = len(set(t["source"].to_pylist()))
+    declared = ["source", "doc_id", "n_tok"] if case == "one key" else t.column_names
+    for columns, want in ((["n_tok"], declared), (None, t.column_names)):
+        seen.clear()
+        _partial_fn(specs(columns), keys)(t)
+        assert seen == [want] * n_groups, (case, columns)
+
+
+def _random_key_table(rng, n: int) -> pa.Table:
+    """Random string, int, float and dictionary keys, nulls and NaN in
+    each (and -0.0 beside 0.0), over three chunks whose dictionary
+    columns each carry their own dictionary."""
+    chunks = []
+    for m in (n // 3, n // 3, n - 2 * (n // 3)):
+        def pick(values):
+            return [values[i] for i in rng.integers(0, len(values), m)]
+
+        words = ["a", "b", "cc", "", None]
+        chunks.append(pa.table({
+            "s": pa.array(pick(words), pa.string()),
+            "i": pa.array(pick([1, 2, -7, None]), pa.int64()),
+            "f": pa.array(pick([0.5, 0.0, -0.0, float("nan"), None]), pa.float64()),
+            "d": pa.array(pick(words[::-1]), pa.string()).dictionary_encode(),
+        }))
+    return pa.concat_tables(chunks)
+
+
+@pytest.mark.parametrize("keys", [["s"], ["i"], ["f"], ["d"], ["s", "i"],
+                                  ["f", "d", "i"], ["s", "i", "f", "d"]],
+                         ids="+".join)
+def test_group_rows_match_pandas_groupby(keys):
+    """``_group_rows`` forms the groups of pandas'
+    ``groupby(sort=False, dropna=False)``: a null and a NaN key are one
+    group, and a dictionary column groups by its values whatever each
+    chunk's dictionary. Its groups come in order of first appearance,
+    each group's rows ascending."""
+    from miller_ray.engine.udaf import _group_rows
+
+    rng = np.random.default_rng(len(keys) * 31 + ord(keys[0]))
+    for _ in range(5):
+        t = _random_key_table(rng, int(rng.integers(1, 400)))
+        assert t["d"].num_chunks == 3
+        plain = pa.table({k: t[k].cast(pa.string()) if k == "d" else t[k] for k in keys})
+        want = plain.to_pandas().groupby(keys, sort=False, dropna=False).indices
+        got = _group_rows(t, keys)
+        assert sorted(map(tuple, got)) == sorted(map(tuple, want.values())), keys
+        firsts = [g[0] for g in got]
+        assert firsts == sorted(firsts)
+        assert all((np.diff(g) > 0).all() for g in got)

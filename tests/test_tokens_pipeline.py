@@ -127,3 +127,25 @@ def test_read_tokens_batches_one_per_shard(ray_session, tmp_path, monkeypatch):
     sizes = ds.map_batches(lambda b: pa.table({"rows": [b.num_rows]}),
                            batch_format="pyarrow").to_pandas()["rows"]
     assert sorted(sizes) == [3200] * 8
+
+
+def test_read_tokens_logs_its_shard_read(ray_session, tmp_path, monkeypatch, caplog):
+    """read_tokens reads through the one shard reader: it logs every
+    shard file, one read task per CPU at most and one shard's rows per
+    batch."""
+    import logging
+
+    import ray
+
+    from miller_ray.schema import generate_tokens_table
+
+    for i in range(6):
+        pq.write_table(generate_tokens_table(3300, seed=i),
+                       tmp_path / f"part-{i:05d}.parquet")
+    monkeypatch.setattr(T, "tokens_parquet_path", lambda n: str(tmp_path))
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    T.read_tokens("", n_rows=6 * 3300)
+    reads = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("read_shards:")]
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert reads == [f"read_shards: files=6 read_tasks={min(6, cpus)} batch_rows=3300"]
