@@ -11,12 +11,14 @@ Ray-Data-native:
 - One streaming pass over the *pending* files only, read by
   ``engine.scan.read_shards`` (read tasks capped at the CPU count, the
   mmap filesystem for local paths, each file in runs of up to 131072
-  rows tagged with the file as ``path``). The sketch builds' partial
-  function, keyed by ``path`` and fused into the read tasks, cuts each
-  file's run as a zero-copy slice and emits one partial row per run, so
-  a file of up to 131072 rows yields one partial and only partial blobs
-  reach the object store; ``merge_keyed`` folds them to ONE serialized
-  sketch row per file, with the file's row count.
+  rows tagged with the file as ``path``, and a read task's small files
+  packed whole into tables of up to 131072 rows). The sketch builds'
+  partial function, keyed by ``path`` and fused into the read tasks,
+  cuts each file's run out of its table as a zero-copy slice and emits
+  one partial row per run, so a file of up to 131072 rows yields one
+  partial, with the same blobs however the files pack, and only partial
+  blobs reach the object store; ``merge_keyed`` folds them to ONE
+  serialized sketch row per file, with the file's row count.
 - Each finished partition writes a blob file named by its content hash
   plus a manifest line ``{path, rows, blobs: {spec: file}, sha256}`` —
   appended atomically (write temp + rename of the whole manifest), so a

@@ -96,7 +96,9 @@ def merge_partials(parts, combine: Callable, batch_format: str = "pyarrow"):
     ``parts`` holds no rows) for the caller's final reduce.
 
     Without a block estimate the partials are materialized once and
-    their measured block count plans the levels.
+    their measured block count plans the levels. Logs one
+    ``merge_partials:`` line at DEBUG after the fold: the plan, and the
+    partial rows that reached the driver as ``partials``.
     """
     est = estimated_blocks(parts)
     fallback = est is None
@@ -109,13 +111,14 @@ def merge_partials(parts, combine: Callable, batch_format: str = "pyarrow"):
         parts = parts.repartition(n).map_batches(
             combine, batch_format=batch_format, batch_size=None)
         levels += 1
-    log.debug("merge_partials: estimated_blocks=%d levels=%d fallback=%s "
-              "branch=%s", est, levels, fallback,
-              f"{levels} merge levels, then driver fold" if levels
-              else "driver fold")
     batches = [b for b in parts.iter_batches(batch_size=None,
                                              batch_format=batch_format)
                if len(b)]
+    log.debug("merge_partials: estimated_blocks=%d levels=%d fallback=%s "
+              "partials=%d branch=%s", est, levels, fallback,
+              sum(map(len, batches)),
+              f"{levels} merge levels, then driver fold" if levels
+              else "driver fold")
     if batch_format == "pandas":
         return pd.concat(batches, ignore_index=True) if batches else pd.DataFrame()
     return pa.concat_tables(batches, promote_options="permissive") \

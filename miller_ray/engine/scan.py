@@ -37,13 +37,25 @@ def read_shards(paths: list[str], batch_rows: int, include_paths: bool = False):
     reader of ``read_tokens`` and ``checkpointed_build``.
 
     - Each file is read in runs of ``batch_rows`` rows that cross its
-      row groups, so a file of at most ``batch_rows`` rows is one table
-      and, in a ``map_batches(batch_size=None)`` fused into the read
-      task, one partial-sketch blob. Ray's ``read_parquet`` yields a
-      table per row group (and ~10k-row batches), so a per-batch build emits
-      several KB..MB partials per shard and the merge tree becomes the
-      scaling bottleneck (measured: 448 partials -> ~8 s of merge at 2
-      CPUs on a 4M-row table; one partial per shard -> <1 s).
+      row groups, and a read task packs consecutive runs into one table
+      while they fit ``batch_rows`` rows and share a schema. So a file
+      of at most ``batch_rows`` rows is never split, and small files
+      share a table: in a ``map_batches(batch_size=None)`` fused into
+      the read task, one partial-sketch blob covers up to ``batch_rows``
+      rows however small the shards. A build's cost grows with its
+      partials, each packed, shipped and merged (measured: Ray's
+      ``read_parquet``, a table per row group, gave 448 partials and
+      ~8 s of merge at 2 CPUs on a 4M-row table, against <1 s at one
+      partial per shard; packing 64 shards of 312 rows into 3125-row
+      tables took ``sketch_summary`` from 0.53-0.57 s to 0.32-0.35 s at
+      1 Ray CPU on a 4-vCPU host).
+    - A keyed build (the checkpoint's, by ``path``) slices each file's
+      run out of its table, so per-file blobs do not depend on the
+      packing. The global KLL and t-digest bytes do, as their merges
+      are order-sensitive, and so on how files split into read tasks,
+      i.e. on the Ray CPU count; their answers stay within the
+      sketches' rank error (all that perfbench checks of them). HLL,
+      Bloom and histogram bytes do not depend on it.
     - Read tasks are capped at the schedulable CPU count: each task
       then reads several shard files in turn, so a single wave of tasks
       covers the input instead of paying dispatch per file (measured
@@ -85,11 +97,13 @@ def read_shards(paths: list[str], batch_rows: int, include_paths: bool = False):
 
 def _read_files(files: list[str], batch_rows: int, include_paths: bool):
     """``read_shards``' read task: each file's rows in runs of up to
-    ``batch_rows``, one table per run."""
+    ``batch_rows``, consecutive runs packed into one table while they
+    fit ``batch_rows`` rows and share a schema. A run is never split."""
     import pyarrow.fs as pafs
     import pyarrow.parquet as pq
 
     mmap = pafs.LocalFileSystem(use_mmap=True)
+    pending: list[pa.Table] = []
     for p in files:
         fs, path = pafs.FileSystem.from_uri(p) if "://" in p else (mmap, p)
         with fs.open_input_file(path) as f:
@@ -97,8 +111,15 @@ def _read_files(files: list[str], batch_rows: int, include_paths: bool):
             for b in pq.ParquetFile(f).iter_batches(batch_size=batch_rows,
                                                     use_threads=False):
                 t = pa.Table.from_batches([b])
-                yield t.append_column("path", pa.array([p] * t.num_rows, pa.string())) \
-                    if include_paths else t
+                if include_paths:
+                    t = t.append_column("path", pa.array([p] * t.num_rows, pa.string()))
+                if pending and (sum(x.num_rows for x in pending) + t.num_rows > batch_rows
+                                or not t.schema.equals(pending[0].schema)):
+                    yield pa.concat_tables(pending)
+                    pending = []
+                pending.append(t)
+    if pending:
+        yield pa.concat_tables(pending)
 
 
 def _flagged_sort(ds, keys: list[str], descending: list[bool] | bool):

@@ -31,8 +31,10 @@ from miller_ray.schema import VOCAB_SIZE
 def read_tokens(sf_dir: str, n_rows: int | None = None):
     """Tokens Dataset for a testdata sf dir (deterministic synthetic,
     cached as a multi-file Parquet dataset under /tmp), read by
-    ``engine.scan.read_shards`` in batches of one shard's rows (at least
-    3125), so each read batch is a whole shard and emits one partial."""
+    ``engine.scan.read_shards`` in batches of one shard's rows or 3125,
+    whichever is more: a shard of at least 3125 rows is its own batch,
+    and smaller shards pack whole into batches of up to 3125 rows, so a
+    build emits one partial per batch, not one per tiny shard."""
     n = n_rows or sf_to_tokens_rows(sf_dir)
     path = tokens_parquet_path(n)
     files = sorted(os.path.join(path, f) for f in os.listdir(path)

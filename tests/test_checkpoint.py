@@ -5,6 +5,7 @@ import logging
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -151,3 +152,61 @@ def test_hll_estimate_sane(ray_session, token_files, tmp_path):
     # generation reuses ids across files -> exact distinct = 1500
     exact = 1500
     assert abs(est - exact) / exact < 3 * 1.04 / np.sqrt(2**12)
+
+
+def _per_file_lineage(paths, ckpt_dir) -> dict:
+    """{path: (rows, per-spec sha256)} of a checkpoint over ``paths``."""
+    checkpointed_build(paths, _specs(), ckpt_dir)
+    return {e["path"]: (e["rows"], e["sha256"]) for e in lineage_report(ckpt_dir)}
+
+
+def _one_read_task(monkeypatch, caplog):
+    """Pretend Ray has one CPU, so read_shards reads every file in one
+    task and packs them into as few tables as fit."""
+    import ray
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+
+
+def test_packed_files_write_the_blobs_of_files_built_alone(ray_session, tmp_path,
+                                                          monkeypatch, caplog):
+    """8 small files read as one packed table give every file the rows
+    and blob digests of a build over that file alone."""
+    paths = []
+    for i in range(8):
+        p = str(tmp_path / f"small-{i}.parquet")
+        pq.write_table(generate_tokens_table(300, seed=200 + i), p, row_group_size=100)
+        paths.append(p)
+    _one_read_task(monkeypatch, caplog)
+    packed = _per_file_lineage(paths, str(tmp_path / "packed"))
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("read_shards:")] == \
+        ["read_shards: files=8 read_tasks=1 batch_rows=131072"]
+    alone = {}
+    for i, p in enumerate(paths):
+        alone.update(_per_file_lineage([p], str(tmp_path / f"alone{i}")))
+    assert sorted(packed) == sorted(paths)
+    assert all(rows == 300 for rows, _ in packed.values())
+    assert packed == alone
+
+
+def test_files_with_other_schemas_build_as_alone(ray_session, tmp_path,
+                                                 monkeypatch, caplog):
+    """n_tok int32 in one file and int64 in the next: the reader starts
+    a new table at the schema change, and each file's blobs equal a
+    build over it alone."""
+    paths = []
+    for i, typ in enumerate([pa.int32(), pa.int64()]):
+        t = generate_tokens_table(400, seed=300 + i)
+        t = t.set_column(t.schema.get_field_index("n_tok"), "n_tok", t["n_tok"].cast(typ))
+        p = str(tmp_path / f"typed-{i}.parquet")
+        pq.write_table(t, p)
+        paths.append(p)
+    _one_read_task(monkeypatch, caplog)
+    both = _per_file_lineage(paths, str(tmp_path / "both"))
+    alone = {}
+    for i, p in enumerate(paths):
+        alone.update(_per_file_lineage([p], str(tmp_path / f"alone{i}")))
+    assert sorted(both) == sorted(paths)
+    assert both == alone
