@@ -104,6 +104,7 @@ def _read_files(files: list[str], batch_rows: int, include_paths: bool):
 
     mmap = pafs.LocalFileSystem(use_mmap=True)
     pending: list[pa.Table] = []
+    rows = 0
     for p in files:
         fs, path = pafs.FileSystem.from_uri(p) if "://" in p else (mmap, p)
         with fs.open_input_file(path) as f:
@@ -113,11 +114,12 @@ def _read_files(files: list[str], batch_rows: int, include_paths: bool):
                 t = pa.Table.from_batches([b])
                 if include_paths:
                     t = t.append_column("path", pa.array([p] * t.num_rows, pa.string()))
-                if pending and (sum(x.num_rows for x in pending) + t.num_rows > batch_rows
+                if pending and (rows + t.num_rows > batch_rows
                                 or not t.schema.equals(pending[0].schema)):
                     yield pa.concat_tables(pending)
-                    pending = []
+                    pending, rows = [], 0
                 pending.append(t)
+                rows += t.num_rows
     if pending:
         yield pa.concat_tables(pending)
 

@@ -160,42 +160,19 @@ def _per_file_lineage(paths, ckpt_dir) -> dict:
     return {e["path"]: (e["rows"], e["sha256"]) for e in lineage_report(ckpt_dir)}
 
 
-def _one_read_task(monkeypatch, caplog):
-    """Pretend Ray has one CPU, so read_shards reads every file in one
-    task and packs them into as few tables as fit."""
-    import ray
-
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
-    caplog.set_level(logging.DEBUG, logger="miller_ray")
-
-
-def test_packed_files_write_the_blobs_of_files_built_alone(ray_session, tmp_path,
-                                                          monkeypatch, caplog):
-    """8 small files read as one packed table give every file the rows
-    and blob digests of a build over that file alone."""
+def _small_files(tmp_path) -> list[str]:
+    """8 files of 300 rows: one read task packs them into one table."""
     paths = []
     for i in range(8):
         p = str(tmp_path / f"small-{i}.parquet")
         pq.write_table(generate_tokens_table(300, seed=200 + i), p, row_group_size=100)
         paths.append(p)
-    _one_read_task(monkeypatch, caplog)
-    packed = _per_file_lineage(paths, str(tmp_path / "packed"))
-    assert [r.getMessage() for r in caplog.records
-            if r.getMessage().startswith("read_shards:")] == \
-        ["read_shards: files=8 read_tasks=1 batch_rows=131072"]
-    alone = {}
-    for i, p in enumerate(paths):
-        alone.update(_per_file_lineage([p], str(tmp_path / f"alone{i}")))
-    assert sorted(packed) == sorted(paths)
-    assert all(rows == 300 for rows, _ in packed.values())
-    assert packed == alone
+    return paths
 
 
-def test_files_with_other_schemas_build_as_alone(ray_session, tmp_path,
-                                                 monkeypatch, caplog):
+def _typed_files(tmp_path) -> list[str]:
     """n_tok int32 in one file and int64 in the next: the reader starts
-    a new table at the schema change, and each file's blobs equal a
-    build over it alone."""
+    a new table at the schema change."""
     paths = []
     for i, typ in enumerate([pa.int32(), pa.int64()]):
         t = generate_tokens_table(400, seed=300 + i)
@@ -203,10 +180,29 @@ def test_files_with_other_schemas_build_as_alone(ray_session, tmp_path,
         p = str(tmp_path / f"typed-{i}.parquet")
         pq.write_table(t, p)
         paths.append(p)
-    _one_read_task(monkeypatch, caplog)
-    both = _per_file_lineage(paths, str(tmp_path / "both"))
+    return paths
+
+
+@pytest.mark.parametrize("make_files", [_small_files, _typed_files],
+                         ids=["packed", "other_schemas"])
+def test_files_read_together_write_the_blobs_of_files_built_alone(
+        ray_session, tmp_path, monkeypatch, caplog, make_files):
+    """Files read by one task give every file the rows and blob digests
+    of a build over that file alone."""
+    import ray
+
+    paths = make_files(tmp_path)
+    # one CPU: read_shards reads every file in one task
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    together = _per_file_lineage(paths, str(tmp_path / "together"))
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("read_shards:")] == \
+        [f"read_shards: files={len(paths)} read_tasks=1 batch_rows=131072"]
     alone = {}
     for i, p in enumerate(paths):
         alone.update(_per_file_lineage([p], str(tmp_path / f"alone{i}")))
-    assert sorted(both) == sorted(paths)
-    assert both == alone
+    assert sorted(together) == sorted(paths)
+    assert [together[p][0] for p in paths] == \
+        [pq.ParquetFile(p).metadata.num_rows for p in paths]
+    assert together == alone
