@@ -10,18 +10,15 @@ measurements, not from per-call flags (Approximate Distinct Counts for
 Billions of Datasets, SIGMOD 2019, plans its merges the same way).
 
 - ``merge_partials``: partials bounded per block (one sketch row, nbins
-  histogram rows). It plans the tree from how many partials there are:
-  while more than ``MERGE_FANIN`` remain it adds one combine level of
-  ``ceil(n / MERGE_FANIN)`` tasks, then gathers the ≤ ``MERGE_FANIN``
-  combined partials left on the driver, where the caller applies its
-  final reduce once (``combine`` itself, or the same fold without
-  re-serializing, as ``build_sketches`` does). As far as the estimate
-  holds, the driver thus folds at most ``MERGE_FANIN`` partials
-  whatever the input block count (1e6 blocks -> 4 levels), and an input
-  of ≤ ``MERGE_FANIN`` blocks pays no repartition at all. The levels
-  are lazy: build, levels and the driver's gather run as ONE execution
-  (a ``materialize()`` first would cost a second executor start on
-  every call).
+  histogram rows). The partials run once, and their measured block
+  count plans the tree: while more than ``MERGE_FANIN`` blocks remain,
+  one combine task per run of ``MERGE_FANIN`` consecutive blocks adds a
+  level. The driver then reads the ≤ ``MERGE_FANIN`` blocks left, where
+  the caller applies its final reduce once (``combine`` itself, or the
+  same fold without re-serializing, as ``build_sketches`` does). The
+  fan-in bounds blocks, not partial rows: a block holds as many
+  partials as fit Ray's target block size, so an input of ≤
+  ``MERGE_FANIN`` partial blocks plans no level at all.
 - ``merge_keyed``: partials that carry group keys, whose count grows
   with the number of groups (``count -g``, ``stats1``'s moments and its
   (group, value) count table for percentiles and modes, grouped
@@ -64,17 +61,6 @@ log = logging.getLogger("miller_ray")
 _NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
-def estimated_blocks(ds) -> int | None:
-    """Pre-execution block-count estimate of ``ds``'s plan, or None when
-    the plan gives none. The package's one read of Ray's private
-    ``_plan``; it plans only the merge depth, never the answer."""
-    try:
-        n = int(ds._plan.initial_num_blocks() or 0)
-    except AttributeError:  # plan API gone from this Ray version
-        return None
-    return n if n > 0 else None
-
-
 def block_refs(ds) -> tuple[list, int]:
     """Run ``ds`` once, streaming, and return its block refs in block
     order with the sum of their measured ``size_bytes``. The package's
@@ -91,38 +77,32 @@ def block_refs(ds) -> tuple[list, int]:
 def merge_partials(parts, combine: Callable, batch_format: str = "pyarrow"):
     """Merge the partial rows of Dataset ``parts`` with ``combine`` (a
     ``batch_format`` batch -> batch of the same schema) down to at most
-    ``MERGE_FANIN`` partials, and return them concatenated on the driver
-    as one ``batch_format`` table (empty, without columns, when
+    ``MERGE_FANIN`` blocks, and return their rows concatenated on the
+    driver as one ``batch_format`` table (empty, without columns, when
     ``parts`` holds no rows) for the caller's final reduce.
 
-    Without a block estimate the partials are materialized once and
-    their measured block count plans the levels. Logs one
-    ``merge_partials:`` line at DEBUG after the fold: the plan, and the
-    partial rows that reached the driver as ``partials``.
+    Each level is one ``_reduce`` task per run of ``MERGE_FANIN``
+    consecutive blocks, so block order is kept. The fan-in bounds
+    blocks, each at most Ray's target block size, not partial rows.
+    Logs one ``merge_partials:`` line at DEBUG after the fold: the
+    measured blocks, the levels, and the partial rows that reached the
+    driver as ``partials``.
     """
-    est = estimated_blocks(parts)
-    fallback = est is None
-    if fallback:
-        parts = parts.materialize()
-        est = parts.num_blocks()
-    n, levels = est, 0
-    while n > MERGE_FANIN:
-        n = -(-n // MERGE_FANIN)
-        parts = parts.repartition(n).map_batches(
-            combine, batch_format=batch_format, batch_size=None)
+    import ray
+    import ray.data as rd
+
+    refs, _ = block_refs(parts)
+    nblocks, levels = len(refs), 0
+    reduce = ray.remote(_reduce).options(num_returns=2)
+    while len(refs) > MERGE_FANIN:
+        runs = [refs[i:i + MERGE_FANIN] for i in range(0, len(refs), MERGE_FANIN)]
+        refs = [reduce.remote(combine, batch_format, [len(r)], *r)[0] for r in runs]
         levels += 1
-    batches = [b for b in parts.iter_batches(batch_size=None,
-                                             batch_format=batch_format)
-               if len(b)]
-    log.debug("merge_partials: estimated_blocks=%d levels=%d fallback=%s "
-              "partials=%d branch=%s", est, levels, fallback,
-              sum(map(len, batches)),
-              f"{levels} merge levels, then driver fold" if levels
-              else "driver fold")
-    if batch_format == "pandas":
-        return pd.concat(batches, ignore_index=True) if batches else pd.DataFrame()
-    return pa.concat_tables(batches, promote_options="permissive") \
-        if batches else pa.table({})
+    batches = [b for b in rd.from_arrow_refs(refs).iter_batches(
+        batch_size=None, batch_format=batch_format) if len(b)] if refs else []
+    log.debug("merge_partials: partial_blocks=%d levels=%d partials=%d",
+              nblocks, levels, sum(map(len, batches)))
+    return _batch(batches, batch_format)
 
 
 def distinct_values(ds, column: str, values: Callable = lambda col: col) -> list:

@@ -14,11 +14,9 @@ key is one group), sums ``__rows`` and folds each group's blobs with
 ``merge_blobs``, the one blob fold. Which fold runs depends on the build:
 
 - Global sketches: ``build_sketches`` -> ``engine.merge.merge_partials``:
-  merge levels of ``MERGE_FANIN``-way combines while the block estimate
-  is large, then one ``merge_blobs`` fold on the driver, all in one
-  execution.
-  At 10^12 rows / ~1M blocks that is 4 levels; partial blobs are ~16 KB
-  (HLL p=14), and a merge task holds about ``MERGE_FANIN`` of them.
+  levels of ``MERGE_FANIN``-way combines while more than
+  ``MERGE_FANIN`` partial blocks remain, then one ``merge_blobs`` fold
+  on the driver over the partial rows of the blocks left.
 - Grouped sketches: ``build_grouped_sketches`` -> per-(block, group)
   partial rows -> ``engine.merge.merge_keyed``: a driver fold while the
   partials measure small, else its salted two-level keyed merge. A hot

@@ -2119,6 +2119,7 @@ def remove_empty_columns(ds):
     but pass 1 is a tiny per-block any-non-empty reduction."""
 
     def probe(t: pa.Table) -> pa.Table:
+        # one row of per-column flags; an empty block adds no row
         row = {}
         for c in t.column_names:
             col = t[c]
@@ -2126,11 +2127,15 @@ def remove_empty_columns(ds):
             if pa.types.is_string(col.type):
                 m = pc.and_(m, pc.not_equal(pc.fill_null(col, ""), ""))
             row[c] = [bool(pc.any(m).as_py())]
-        return pa.table(row)
+        return pa.table(row).slice(0, t.num_rows)
 
-    flags = ds.map_batches(probe, batch_format="pyarrow").to_pandas().any()
-    keep = [c for c in ds.schema().names if flags.get(c, False)]
-    return ds.select_columns(keep)
+    def any_of(t: pa.Table) -> pa.Table:
+        return pa.table({c: [bool(pc.any(t[c]).as_py())] for c in t.column_names})
+
+    flags = merge_partials(ds.map_batches(probe, batch_format="pyarrow"), any_of)
+    if not flags.num_rows:
+        return ds
+    return ds.select_columns([c for c in flags.column_names if pc.any(flags[c]).as_py()])
 
 
 def least_frequent(ds, fields: list[str], n: int = 1,
@@ -2208,11 +2213,19 @@ def nest_explode_values_across_fields(ds, field: str, sep: str = ";",
     sep = nested_fs or sep
 
     def count_max(t: pa.Table) -> pa.Table:
+        # an empty block adds no row
         lists = pc.split_pattern(pc.cast(t[field], pa.string()), sep)
-        return pa.table({"k": [int(pc.max(pc.list_value_length(lists)).as_py() or 0)]})
+        k = int(pc.max(pc.list_value_length(lists)).as_py() or 0)
+        return pa.table({"k": [k]}).slice(0, t.num_rows)
 
-    k = int(ds.select_columns([field]).map_batches(
-        count_max, batch_format="pyarrow").to_pandas()["k"].max())
+    def max_of(t: pa.Table) -> pa.Table:
+        return pa.table({"k": [pc.max(t["k"]).as_py()]})
+
+    left = merge_partials(ds.select_columns([field]).map_batches(
+        count_max, batch_format="pyarrow"), max_of)
+    if not left.num_rows:
+        return ds
+    k = pc.max(left["k"]).as_py()
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
         parts = df[field].astype(str).str.split(sep, expand=True)
@@ -2457,9 +2470,12 @@ def bootstrap_ci(ds, fields: list[str], stat: str = "mean",
 
     # nboot rows per block whatever the input: a bounded partial
     combine = aggregate_by(["rep"])
-    merged = combine(merge_partials(
+    left = merge_partials(
         ds.select_columns(fields).map_batches(partial, batch_format="pyarrow"),
-        combine)).to_pandas()
+        combine)
+    if not left.num_rows:  # no input rows: no interval
+        return pd.DataFrame(columns=["field", f"{stat}_lo", f"{stat}_hi"])
+    merged = combine(left).to_pandas()
     alpha = (1.0 - level) / 2.0
     rows = []
     for f in fields:

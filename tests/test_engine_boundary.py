@@ -21,6 +21,11 @@ def test_ray_internals_stay_in_engine():
     assert not outside, outside
 
 
+def test_no_private_plan_reads():
+    # merge_partials plans from measured blocks, not Ray's plan estimate
+    assert not _files_using("._plan"), _files_using("._plan")
+
+
 def test_block_refs_are_read_in_one_engine_function():
     # every access to the attribute, by (file, top-level function)
     users = set()

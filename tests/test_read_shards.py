@@ -112,5 +112,29 @@ def test_sketch_build_folds_one_partial_per_packed_table(ray_session, tmp_path,
              if r.getMessage().startswith("merge_partials:")]
     assert len(plans) == 1
     assert 1 <= int(plans[0]["partials"]) <= tables < 16
-    assert {"estimated_blocks", "levels", "fallback", "branch"} <= set(plans[0])
+    assert {"partial_blocks", "levels", "partials"} == set(plans[0])
     assert sk["kll_n_tok"].n == n
+
+
+def test_merge_partials_plans_from_the_blocks_it_holds(ray_session, tmp_path,
+                                                       monkeypatch, caplog):
+    """64 one-table files whose partials are each their own block: the
+    measured blocks plan a combine level, so no more than MERGE_FANIN
+    partials reach the driver, and the blobs equal a default build's."""
+    from ray.data import DataContext
+
+    from miller_ray.engine.merge import MERGE_FANIN
+
+    caplog.set_level(logging.DEBUG, logger="miller_ray")
+    _small_shards(tmp_path, monkeypatch, n_files=64)
+    files = sorted(str(p) for p in tmp_path.glob("*.parquet"))
+    want = T.sketch_build(scan.read_shards(files, 400))
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1024)
+    caplog.clear()
+    got = T.sketch_build(scan.read_shards(files, 400))
+    plans = [dict(re.findall(r"(\w+)=(\S+)", r.getMessage())) for r in caplog.records
+             if r.getMessage().startswith("merge_partials:")]
+    assert plans[-1]["partial_blocks"] == "64" and int(plans[-1]["levels"]) >= 1
+    assert int(plans[-1]["partials"]) <= MERGE_FANIN
+    for name in ("hll_doc_id", "hll_source", "bloom_doc_id", "hist_token_values"):
+        assert got[name].to_bytes() == want[name].to_bytes(), name

@@ -26,6 +26,38 @@ def test_nest_explode_values_across_fields(ray_session):
     assert pd.isna(r.loc[1, "x_3"]) or r.loc[1, "x_3"] is None
 
 
+def _empty(tbl):
+    """A Dataset over ``tbl`` with every row filtered out."""
+    return _ds(tbl).filter(lambda r: False)
+
+
+def _blocks(tbl):
+    """A Dataset over ``tbl`` with one block per row."""
+    import ray.data as rd
+
+    return rd.from_arrow([tbl.slice(i, 1) for i in range(tbl.num_rows)])
+
+
+def test_nest_explode_values_max_count_over_blocks(ray_session):
+    # the widest row sits in the last of 3 blocks
+    t = pa.table({"id": [1, 2, 3], "x": ["a", "b;c", "d;e;f"]})
+    r = verbs.nest_explode_values_across_fields(_blocks(t), "x").to_pandas()
+    r = r.sort_values("id").reset_index(drop=True)
+    assert list(r.columns) == ["id", "x_1", "x_2", "x_3"]
+    assert r.loc[2].tolist() == [3, "d", "e", "f"]
+    assert r.loc[0, "x_1"] == "a" and pd.isna(r.loc[0, "x_3"])
+    assert verbs.nest_explode_values_across_fields(_empty(t), "x").count() == 0
+
+
+def test_remove_empty_columns_over_blocks(ray_session):
+    # "s" is non-empty in one block only; "e" is null or "" in every one
+    t = pa.table({"a": [1, 2, 3], "s": ["", None, "x"], "e": [None, "", ""]})
+    r = verbs.remove_empty_columns(_blocks(t)).to_pandas()
+    assert list(r.columns) == ["a", "s"]
+    assert sorted(r["a"]) == [1, 2, 3]
+    assert verbs.remove_empty_columns(_empty(t)).count() == 0
+
+
 def test_nest_explode_pairs_across_fields(ray_session):
     t = pa.table({"id": [1, 2], "x": ["a=1;b=2", "a=3;c=4"]})
     r = verbs.nest_explode_pairs_across_fields(_ds(t), "x").to_pandas()
@@ -101,6 +133,12 @@ def test_bootstrap_ci(ray_session):
     # deterministic across runs
     r2 = verbs.bootstrap_ci(_ds(t), ["v"], stat="mean", nboot=200, seed=3)
     assert float(r2["mean_lo"].iloc[0]) == lo
+
+
+def test_bootstrap_ci_without_rows(ray_session):
+    t = pa.table({"v": [1.0, 2.0]})
+    r = verbs.bootstrap_ci(_empty(t), ["v"], stat="sum", nboot=20)
+    assert list(r.columns) == ["field", "sum_lo", "sum_hi"] and r.empty
 
 
 def test_decimate_positional(ray_session):

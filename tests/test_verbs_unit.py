@@ -144,7 +144,7 @@ def test_sample_ignores_block_order(rd):
 def test_top_sample_tree_merge_many_blocks(rd, caplog):
     # VERDICT r03 #4: top()/sample() partials must be tree-merged, not
     # driver-concatenated per block: ungrouped, merge_partials plans
-    # combine levels from the 250-block estimate, so the driver folds
+    # combine levels from the 250 measured partial blocks, so the driver folds
     # <= 16 partials; grouped, the keyed partials fold by merge_keyed.
     caplog.set_level(logging.DEBUG, logger="miller_ray")
     df, ds = _tree_merge_input(rd)
@@ -157,7 +157,7 @@ def test_top_sample_tree_merge_many_blocks(rd, caplog):
     # ungrouped
     out2 = verbs.top(ds, "v", n=5)
     plan = _merge_plans(caplog)[-1]
-    assert plan["estimated_blocks"] == "250" and int(plan["levels"]) >= 1
+    assert plan["partial_blocks"] == "250" and int(plan["levels"]) >= 1
     assert out2["v_top"].tolist() == sorted(df["v"], reverse=True)[:5]
     # sample: exact size, rows drawn from input, deterministic by seed
     s1 = verbs.sample(ds, k=10, seed=42)
@@ -184,26 +184,10 @@ def test_top_sample_tree_merge_many_blocks(rd, caplog):
     small = verbs.top(small_ds, "v", n=3, group_by=["g"])
     verbs.top(small_ds, "v", n=5)
     plan = _merge_plans(caplog)[-1]
-    assert plan["estimated_blocks"] == "2" and plan["levels"] == "0"
+    assert plan["partial_blocks"] == "2" and plan["levels"] == "0"
     pd.testing.assert_frame_equal(small.sort_values(["g", "top_idx"])
                                   .reset_index(drop=True),
                                   got.reset_index(drop=True))
-
-
-def test_merge_partials_fallback_without_estimate(rd, caplog, monkeypatch):
-    # no pre-execution block estimate: the partials are materialized and
-    # their measured block count plans the levels; answers unchanged
-    caplog.set_level(logging.DEBUG, logger="miller_ray")
-    df, ds = _tree_merge_input(rd)
-    want = verbs.top(ds, "v", n=5)
-    assert _merge_plans(caplog)[-1]["fallback"] == "False"
-    monkeypatch.setattr(merge, "estimated_blocks", lambda ds: None)
-    got = verbs.top(ds, "v", n=5)
-    plan = _merge_plans(caplog)[-1]
-    assert plan["fallback"] == "True" and int(plan["levels"]) >= 1
-    key = ["top_idx"]
-    pd.testing.assert_frame_equal(got.sort_values(key).reset_index(drop=True),
-                                  want.sort_values(key).reset_index(drop=True))
 
 
 def test_grouped_rank_no_map_groups(rd):
